@@ -47,7 +47,7 @@ int Run(int argc, char** argv) {
     }
     const std::vector<NodeId> seeds = PickQuerySeeds(*graph, args->seeds);
 
-    // Exact windows at every T boundary in one pass per seed:
+    // Exact windows at every T boundary per seed:
     // breakpoints {0, S, t_0, t_1, ...}.
     std::vector<int> breakpoints = {0, kFamilyWindow};
     for (int t : ts) breakpoints.push_back(t);

@@ -1,6 +1,6 @@
 /// Kernel microbenchmarks (google-benchmark) for the design choices called
 /// out in DESIGN.md §6:
-///  * push (scatter/CSR) vs pull (gather/CSC) transition matvec,
+///  * the scatter transition matvec,
 ///  * one CPI iteration and full CPI convergence,
 ///  * forward push and random-walk sampling,
 ///  * sparse CSR matvec from the block-elimination substrate,
@@ -14,7 +14,7 @@
 /// the data behind CpiOptions::frontier_density_threshold's default.
 ///
 /// The same JSON run also records the fp32-vs-fp64 precision sweep: dense
-/// SpMv / SpMvTranspose / width-8 and width-16 SpMmTranspose timed at both
+/// SpMvTranspose / width-8 and width-16 SpMmTranspose timed at both
 /// value tiers over a ladder of graph sizes ending at the (cache-exceeding)
 /// sweep size — the data behind the "Precision tiers" guidance in the
 /// README.  Each ladder rung also times the value-free twins (kRowConstant
@@ -72,18 +72,6 @@ void BM_MatVecPush(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * graph.num_edges());
 }
 BENCHMARK(BM_MatVecPush);
-
-void BM_MatVecPull(benchmark::State& state) {
-  const Graph& graph = BenchGraph();
-  std::vector<double> x(graph.num_nodes(), 1.0 / graph.num_nodes());
-  std::vector<double> y;
-  for (auto _ : state) {
-    graph.MultiplyTransposePull(x, y);
-    benchmark::DoNotOptimize(y.data());
-  }
-  state.SetItemsProcessed(state.iterations() * graph.num_edges());
-}
-BENCHMARK(BM_MatVecPull);
 
 void BM_CpiExactQuery(benchmark::State& state) {
   const Graph& graph = BenchGraph();
@@ -242,9 +230,7 @@ struct PrecisionRow {
   uint64_t edges = 0;
   size_t csr_bytes_fp64 = 0;
   size_t csr_bytes_fp32 = 0;
-  size_t csr_bytes_vf = 0;  // index-only + one n-length 1/deg array per dir
-  double spmv_fp64_ms = 0.0;
-  double spmv_fp32_ms = 0.0;
+  size_t csr_bytes_vf = 0;  // both structures + one n-length 1/deg array
   double spmvt_fp64_ms = 0.0;
   double spmvt_fp32_ms = 0.0;
   double spmm8_fp64_ms = 0.0;
@@ -253,8 +239,6 @@ struct PrecisionRow {
   double spmm16_fp32_ms = 0.0;
   // Value-free twins (CsrValueMode::kRowConstant over the same structure):
   // identical outputs bitwise, index-only ≈4 bytes/nnz streamed.
-  double spmv_vf64_ms = 0.0;
-  double spmv_vf32_ms = 0.0;
   double spmvt_vf64_ms = 0.0;
   double spmvt_vf32_ms = 0.0;
   double spmm8_vf64_ms = 0.0;
@@ -283,16 +267,14 @@ struct PrecisionRow {
 /// measure.  Interleaving puts every compared pair a few seconds apart,
 /// and min-over-rounds converges each variant to its quiet-machine time.
 template <typename V>
-void TimePrecisionKernels(const la::CsrMatrixT<V>& csr, double& spmv_ms,
-                          double& spmvt_ms, double& spmm8_ms,
-                          double& spmm16_ms) {
+void TimePrecisionKernels(const la::CsrMatrixT<V>& csr, double& spmvt_ms,
+                          double& spmm8_ms, double& spmm16_ms) {
   const auto keep = [](double& slot, double ms) {
     slot = (slot == 0.0) ? ms : std::min(slot, ms);
   };
   const uint32_t n = csr.rows();
   std::vector<V> x(n, static_cast<V>(1.0 / static_cast<double>(n)));
   std::vector<V> y;
-  keep(spmv_ms, TimeMs([&] { csr.SpMv(x, y); }));
   keep(spmvt_ms, TimeMs([&] { csr.SpMvTranspose(x, y); }));
   for (size_t width : {size_t{8}, size_t{16}}) {
     la::DenseBlockT<V> bx(n, width);
@@ -354,31 +336,28 @@ std::vector<PrecisionRow> RunPrecisionSweep(const SweepArgs& args,
                        std::move(scales64));
     la::CsrMatrixF vf32(out, la::CsrValueMode::kRowConstant,
                         std::move(scales32));
-    row.csr_bytes_vf =
-        la::CsrStructureBytes(out) +
-        la::CsrStructureBytes(graph->TransitionTranspose().structure()) +
-        2 * graph->num_nodes() * sizeof(double);
+    // The in-structure holds the same number of offsets and indices as the
+    // out-structure, so both directions' topology is twice the out one.
+    row.csr_bytes_vf = 2 * la::CsrStructureBytes(out) +
+                       graph->num_nodes() * sizeof(double);
     // Three interleaved rounds, each variant next to the one it is
     // compared against; TimePrecisionKernels min-merges across rounds.
     constexpr int kTimingRounds = 3;
     for (int round = 0; round < kTimingRounds; ++round) {
-      TimePrecisionKernels(graph->Transition(), row.spmv_fp64_ms,
-                           row.spmvt_fp64_ms, row.spmm8_fp64_ms,
-                           row.spmm16_fp64_ms);
-      TimePrecisionKernels(vf64, row.spmv_vf64_ms, row.spmvt_vf64_ms,
-                           row.spmm8_vf64_ms, row.spmm16_vf64_ms);
-      TimePrecisionKernels(graph32.TransitionF(), row.spmv_fp32_ms,
-                           row.spmvt_fp32_ms, row.spmm8_fp32_ms,
-                           row.spmm16_fp32_ms);
-      TimePrecisionKernels(vf32, row.spmv_vf32_ms, row.spmvt_vf32_ms,
-                           row.spmm8_vf32_ms, row.spmm16_vf32_ms);
+      TimePrecisionKernels(graph->Transition(), row.spmvt_fp64_ms,
+                           row.spmm8_fp64_ms, row.spmm16_fp64_ms);
+      TimePrecisionKernels(vf64, row.spmvt_vf64_ms, row.spmm8_vf64_ms,
+                           row.spmm16_vf64_ms);
+      TimePrecisionKernels(graph32.TransitionF(), row.spmvt_fp32_ms,
+                           row.spmm8_fp32_ms, row.spmm16_fp32_ms);
+      TimePrecisionKernels(vf32, row.spmvt_vf32_ms, row.spmm8_vf32_ms,
+                           row.spmm16_vf32_ms);
     }
     std::printf(
         "precision scale %2u (%7u nodes, %8llu edges): "
-        "spmv %.3f/%.3f ms (%.2fx)  spmvt %.3f/%.3f ms (%.2fx)  "
+        "spmvt %.3f/%.3f ms (%.2fx)  "
         "spmm8 %.3f/%.3f ms (%.2fx)  spmm16 %.3f/%.3f ms (%.2fx)\n",
         row.scale, row.nodes, static_cast<unsigned long long>(row.edges),
-        row.spmv_fp64_ms, row.spmv_fp32_ms, row.spmv_fp64_ms / row.spmv_fp32_ms,
         row.spmvt_fp64_ms, row.spmvt_fp32_ms,
         row.spmvt_fp64_ms / row.spmvt_fp32_ms, row.spmm8_fp64_ms,
         row.spmm8_fp32_ms, row.spmm8_fp64_ms / row.spmm8_fp32_ms,
@@ -407,8 +386,6 @@ void AppendPrecisionJson(std::ofstream& out,
         << ", \"edges\": " << row.edges
         << ", \"csr_bytes_fp64\": " << row.csr_bytes_fp64
         << ", \"csr_bytes_fp32\": " << row.csr_bytes_fp32
-        << ", \"spmv_fp64_ms\": " << row.spmv_fp64_ms
-        << ", \"spmv_fp32_ms\": " << row.spmv_fp32_ms
         << ", \"spmvt_fp64_ms\": " << row.spmvt_fp64_ms
         << ", \"spmvt_fp32_ms\": " << row.spmvt_fp32_ms
         << ", \"spmm8_fp64_ms\": " << row.spmm8_fp64_ms
@@ -418,8 +395,6 @@ void AppendPrecisionJson(std::ofstream& out,
         << ", \"spmm16_fp32_speedup\": "
         << row.spmm16_fp64_ms / row.spmm16_fp32_ms
         << ", \"csr_bytes_vf\": " << row.csr_bytes_vf
-        << ", \"spmv_vf64_ms\": " << row.spmv_vf64_ms
-        << ", \"spmv_vf32_ms\": " << row.spmv_vf32_ms
         << ", \"spmvt_vf64_ms\": " << row.spmvt_vf64_ms
         << ", \"spmvt_vf32_ms\": " << row.spmvt_vf32_ms
         << ", \"spmm8_vf64_ms\": " << row.spmm8_vf64_ms

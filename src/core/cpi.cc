@@ -72,17 +72,6 @@ la::DenseBlockT<V>& WsBlockNext(Cpi::Workspace& ws) {
   }
 }
 
-template <typename V>
-void Propagate(const Graph& graph, bool use_pull, double decay,
-               const std::vector<V>& x, std::vector<V>& y) {
-  if (use_pull) {
-    graph.MultiplyTransposePullT<V>(x, y);
-  } else {
-    graph.MultiplyTransposeT<V>(x, y);
-  }
-  la::Scale(decay, y);
-}
-
 /// Scalar post-propagate phase of a sparse-head iteration, restricted to the
 /// frontier (a sorted superset of x's support): x ·= decay, scores += x,
 /// returns ‖x‖₁.  Entries off the frontier are exactly +0.0, and adding or
@@ -183,12 +172,6 @@ size_t FreezeConverged(const std::vector<double>& norms, double tolerance,
   return remaining;
 }
 
-/// Whether the adaptive head applies at all: the frontier kernels are
-/// scatter-shaped, so the pull flavor always runs dense.
-bool SparseHeadEnabled(const CpiOptions& options) {
-  return !options.use_pull && options.frontier_density_threshold > 0.0;
-}
-
 /// Scans x for its support and leaves it, sorted, in `frontier`.  Bails out
 /// (returns false) once the support exceeds the density limit — the run
 /// starts dense and no frontier is needed.
@@ -270,7 +253,7 @@ Cpi::ResultT<V> RunScalarLoopObserved(const Graph& graph,
   Cpi::ResultT<V> result;
   result.scores.assign(n, V{0});
 
-  bool sparse = SparseHeadEnabled(options);
+  bool sparse = options.frontier_density_threshold > 0.0;
   if (sparse && !frontier_ready) {
     sparse = ScanInitialFrontier(x, limit, ws.frontier);
   }
@@ -324,7 +307,8 @@ Cpi::ResultT<V> RunScalarLoopObserved(const Graph& graph,
         result.last_interim_norm = la::NormL1(x);
       }
     } else {
-      Propagate(graph, options.use_pull, decay, x, next);
+      graph.MultiplyTransposeT<V>(x, next);
+      la::Scale(decay, next);
       x.swap(next);
       result.last_iteration = i;
       if (i >= options.start_iteration) la::Axpy(1.0, x, result.scores);
@@ -671,7 +655,7 @@ StatusOr<la::DenseBlockT<V>> Cpi::RunBatchT(
 
   // The union frontier: sorted unique seeds, a superset of every vector's
   // support.
-  bool sparse = SparseHeadEnabled(options);
+  bool sparse = options.frontier_density_threshold > 0.0;
   if (sparse) {
     ws.frontier.assign(seeds.begin(), seeds.end());
     std::sort(ws.frontier.begin(), ws.frontier.end());
@@ -706,9 +690,7 @@ StatusOr<la::DenseBlockT<V>> Cpi::RunBatchT(
       // path below; both orders produce bitwise-identical blocks.
       sparse = false;
     }
-    if (options.use_pull) {
-      graph.MultiplyTransposePullBlockT<V>(x, next);
-    } else if (sparse) {
+    if (sparse) {
       // Re-zero the stale support of the recycled buffer (the interim
       // block from two iterations ago), then scatter from the frontier.
       for (NodeId j : ws.next_frontier) {
@@ -747,13 +729,6 @@ StatusOr<std::vector<std::vector<V>>> Cpi::RunWindowedT(
     const Graph& graph, const std::vector<V>& q,
     const std::vector<int>& breakpoints, const CpiOptions& options,
     Workspace* workspace) {
-  TPA_RETURN_IF_ERROR(ValidateCpiParameters(options.restart_probability,
-                                            options.tolerance));
-  TPA_RETURN_IF_ERROR(
-      ValidateFrontierThreshold(options.frontier_density_threshold));
-  if (q.size() != graph.num_nodes()) {
-    return InvalidArgumentError("seed vector size must equal node count");
-  }
   if (breakpoints.empty() || breakpoints.front() != 0) {
     return InvalidArgumentError("breakpoints must start at 0");
   }
@@ -764,62 +739,16 @@ StatusOr<std::vector<std::vector<V>>> Cpi::RunWindowedT(
   }
   Workspace local;
   Workspace& ws = workspace != nullptr ? *workspace : local;
-  std::vector<V>& x = WsX<V>(ws);
-  std::vector<V>& next = WsNext<V>(ws);
-
-  const NodeId n = graph.num_nodes();
-  const double c = options.restart_probability;
-  const double decay = 1.0 - c;
-  const double limit =
-      options.frontier_density_threshold * static_cast<double>(n);
-  const size_t num_windows = breakpoints.size();
-
-  std::vector<std::vector<V>> windows(num_windows,
-                                      std::vector<V>(n, V{0}));
-  auto window_of = [&breakpoints, num_windows](int i) {
-    size_t w = num_windows - 1;
-    while (w > 0 && i < breakpoints[w]) --w;
-    return w;
-  };
-
-  x.assign(q.begin(), q.end());
-  la::Scale(c, x);
-  bool sparse = SparseHeadEnabled(options) &&
-                ScanInitialFrontier(x, limit, ws.frontier);
-  next.assign(n, V{0});
-  ws.next_frontier.clear();
-
-  double norm;
-  if (sparse) {
-    norm = ScaleAccumulateAndNormFrontier<V>(1.0, ws.frontier, x,
-                                             windows[window_of(0)].data());
-  } else {
-    la::Axpy(1.0, x, windows[window_of(0)]);
-    norm = la::NormL1(x);
-  }
-
-  for (int i = 1;; ++i) {
-    if (norm < options.tolerance) break;
-    if (sparse) {
-      for (NodeId j : ws.next_frontier) next[j] = V{0};
-      const bool stayed = graph.TransitionT<V>().SpMvTransposeFrontier(
-          x, ws.frontier, options.frontier_density_threshold, next,
-          ws.next_frontier, ws.scratch);
-      x.swap(next);
-      if (stayed) {
-        ws.frontier.swap(ws.next_frontier);
-        norm = ScaleAccumulateAndNormFrontier<V>(decay, ws.frontier, x,
-                                                 windows[window_of(i)].data());
-        continue;
-      }
-      sparse = false;
-      la::Scale(decay, x);
-    } else {
-      Propagate(graph, options.use_pull, decay, x, next);
-      x.swap(next);
-    }
-    la::Axpy(1.0, x, windows[window_of(i)]);
-    norm = la::NormL1(x);
+  std::vector<std::vector<V>> windows;
+  for (size_t w = 0; w < breakpoints.size(); ++w) {
+    CpiOptions window = options;
+    window.start_iteration = breakpoints[w];
+    window.terminal_iteration = w + 1 < breakpoints.size()
+                                    ? breakpoints[w + 1] - 1
+                                    : CpiOptions::kUnbounded;
+    TPA_ASSIGN_OR_RETURN(ResultT<V> result,
+                         RunWithSeedVectorT<V>(graph, q, window, &ws));
+    windows.push_back(std::move(result.scores));
   }
   return windows;
 }

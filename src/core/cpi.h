@@ -27,17 +27,14 @@ struct CpiOptions {
   /// Last accumulated iteration (t_iter), inclusive; kUnbounded runs to
   /// convergence.
   int terminal_iteration = kUnbounded;
-  /// Gather (pull) matvec over in-edges instead of scatter over out-edges;
-  /// identical results, different memory access pattern (ablation knob).
-  bool use_pull = false;
-  /// Frontier-adaptive propagation (push flavor only): iterations run
-  /// frontier-sparse — scattering only from the interim vector's nonzero
-  /// rows and touching only the rows they reach — while the frontier holds
-  /// at most this fraction of all nodes, then switch permanently to the
-  /// dense kernels.  0 disables the sparse head (every iteration dense);
-  /// 1 stays sparse to convergence.  Results are bitwise-identical at any
-  /// setting; this is purely a throughput knob (`bench_kernels --json`
-  /// records the measured crossover).
+  /// Frontier-adaptive propagation: iterations run frontier-sparse —
+  /// scattering only from the interim vector's nonzero rows and touching
+  /// only the rows they reach — while the frontier holds at most this
+  /// fraction of all nodes, then switch permanently to the dense kernels.
+  /// 0 disables the sparse head (every iteration dense); 1 stays sparse to
+  /// convergence.  Results are bitwise-identical at any setting; this is
+  /// purely a throughput knob (`bench_kernels --json` records the measured
+  /// crossover).
   double frontier_density_threshold = 0.125;
   /// Optional fork-join runner for the dense-tail propagation of RunBatch:
   /// the SpMM scatter is partitioned by destination range, which keeps it
@@ -152,13 +149,13 @@ class Cpi {
 
   /// Batched CPI: runs the window for B single-node seeds at once, sharing
   /// one SpMM sweep over the CSR arrays per iteration instead of B
-  /// independent SpMv sweeps.  The first iterations run frontier-sparse
+  /// independent SpMvTranspose sweeps.  The first iterations run sparse
   /// over the batch's union frontier, the tail dense (optionally
   /// partition-parallel via options.task_runner).  Vector b of the returned
   /// block is bitwise-identical to RunT(graph, {seeds[b]}, options).scores —
   /// each seed's accumulation stops at exactly the iteration where its own
   /// scalar run would have converged, and the blocked kernels reproduce the
-  /// scalar arithmetic per vector (see CsrMatrixT::SpMm*).  Fails on
+  /// scalar arithmetic per vector (see CsrMatrixT::SpMmTranspose).  Fails on
   /// invalid options, an empty batch, or an out-of-range seed.
   ///
   /// `contexts`, when non-empty, must align index-for-index with `seeds`
@@ -180,12 +177,13 @@ class Cpi {
     return RunBatchT<double>(graph, seeds, options, workspace, contexts);
   }
 
-  /// Single-pass windowed CPI: runs to convergence and returns one partial
-  /// sum per window, where window w covers iterations
-  /// [breakpoints[w], breakpoints[w+1]) and the final window extends to ∞.
-  /// E.g. breakpoints {0, S, T} yields exactly the paper's family, neighbor,
-  /// and stranger parts in one sweep.  Breakpoints must start at 0 and be
-  /// strictly increasing.
+  /// Windowed CPI: one partial sum per window, where window w covers
+  /// iterations [breakpoints[w], breakpoints[w+1]) and the final window
+  /// extends to ∞.  E.g. breakpoints {0, S, T} yields exactly the paper's
+  /// family, neighbor, and stranger parts.  Each window is one
+  /// RunWithSeedVectorT over its iteration range (so window w recomputes
+  /// the iterations before breakpoints[w]); all windows share the
+  /// workspace.  Breakpoints must start at 0 and be strictly increasing.
   template <typename V>
   static StatusOr<std::vector<std::vector<V>>> RunWindowedT(
       const Graph& graph, const std::vector<V>& q,

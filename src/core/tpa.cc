@@ -64,7 +64,6 @@ StatusOr<Tpa> Tpa::Preprocess(const Graph& graph, const TpaOptions& options) {
   cpi.tolerance = options.tolerance;
   cpi.start_iteration = options.stranger_start;
   cpi.terminal_iteration = CpiOptions::kUnbounded;
-  cpi.use_pull = options.use_pull;
   cpi.frontier_density_threshold = options.frontier_density_threshold;
 
   if (graph.value_precision() == la::Precision::kFloat64) {
@@ -132,7 +131,6 @@ CpiOptions Tpa::FamilyCpiOptions() const {
   cpi.tolerance = options_.tolerance;
   cpi.start_iteration = 0;
   cpi.terminal_iteration = options_.family_window - 1;
-  cpi.use_pull = options_.use_pull;
   cpi.frontier_density_threshold = options_.frontier_density_threshold;
   return cpi;
 }

@@ -34,8 +34,6 @@ struct TpaOptions {
   /// T: starting iteration of the stranger part.  Iterations S .. T-1 are
   /// estimated by scaling the family part; T .. ∞ by the PageRank tail.
   int stranger_start = 10;
-  /// Matvec flavor (ablation knob; results identical).
-  bool use_pull = false;
   /// Sparse/dense crossover of the adaptive propagation head, forwarded to
   /// CpiOptions::frontier_density_threshold (results identical at any
   /// setting; see that field).

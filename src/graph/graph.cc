@@ -28,31 +28,14 @@ std::vector<V> OutWeights(std::span<const uint64_t> out_offsets,
   return weights;
 }
 
-/// Per-edge weights for the in-CSR: the edge (v ← u) carries
-/// 1/out-degree(u), looked up from the out offsets.
-template <typename V>
-std::vector<V> InWeights(std::span<const uint64_t> out_offsets,
-                         std::span<const NodeId> in_sources) {
-  std::vector<V> weights(in_sources.size());
-  for (size_t e = 0; e < in_sources.size(); ++e) {
-    const NodeId u = in_sources[e];
-    weights[e] = static_cast<V>(
-        1.0 / static_cast<double>(out_offsets[u + 1] - out_offsets[u]));
-  }
-  return weights;
-}
-
 /// Per-node reciprocal out-degrees, the one n-length array value-free
-/// storage keeps per direction: the out-CSR reads it as a per-row scale
-/// (kRowConstant — once per row, which beats synthesizing the division
-/// in-loop on frontier-sparse queries), the in-CSR as a column scale
-/// (kColumnScale — edge (v ← u) carries 1/out-degree(u), and u is the
-/// column there).  Each entry is the same fp64-reciprocal-rounded-once
-/// expression as OutWeights/InWeights, which pins the value-free modes
-/// bitwise-identical to explicit storage.  Dangling nodes get 0: an empty
-/// row is skipped by the kernels and a node with no out-edge never appears
-/// as an in-CSR column, so those entries exist for indexing but are never
-/// read.
+/// storage keeps: the out-CSR reads it as a per-row scale (kRowConstant —
+/// once per row, which beats synthesizing the division in-loop on
+/// frontier-sparse queries).  Each entry is the same
+/// fp64-reciprocal-rounded-once expression as OutWeights, which pins
+/// value-free storage bitwise-identical to explicit storage.  Dangling
+/// nodes get 0: the kernels skip an empty row, so those entries exist for
+/// indexing but are never read.
 template <typename V>
 std::vector<V> OutDegreeReciprocals(std::span<const uint64_t> out_offsets) {
   const size_t num_nodes = out_offsets.size() - 1;
@@ -76,9 +59,7 @@ Graph::Graph(NodeId num_nodes, std::vector<uint64_t> out_offsets,
       value_storage_(value_storage),
       partition_cache_(std::make_shared<PartitionCache>()) {
   TPA_CHECK_EQ(out_targets.size(), in_sources.size());
-  // MakeCsrStructure validates offsets shape/monotonicity and index range
-  // (in particular in_sources < num_nodes, which the weight builders rely
-  // on before dereferencing out_offsets[u + 1]).
+  // MakeCsrStructure validates offsets shape/monotonicity and index range.
   out_structure_ = la::MakeCsrStructure(num_nodes_, num_nodes_,
                                         std::move(out_offsets),
                                         std::move(out_targets));
@@ -100,32 +81,25 @@ Graph::Graph(const Graph& other, la::Precision tier)
 }
 
 template <typename V>
-void Graph::MaterializeTierT(la::CsrMatrixT<V>& out,
-                             la::CsrMatrixT<V>& in) const {
+void Graph::MaterializeTierT(la::CsrMatrixT<V>& out) const {
   const std::span<const uint64_t> out_offsets =
       out_structure_.row_offsets.span();
   if (value_storage_ == ValueStorage::kExplicit) {
     out = la::CsrMatrixT<V>(out_structure_,
                             OutWeights<V>(out_offsets, out_structure_.nnz()));
-    in = la::CsrMatrixT<V>(in_structure_,
-                           InWeights<V>(out_offsets,
-                                        in_structure_.col_indices.span()));
   } else {
-    std::vector<V> scales = OutDegreeReciprocals<V>(out_offsets);
     out = la::CsrMatrixT<V>(out_structure_, la::CsrValueMode::kRowConstant,
-                            std::vector<V>(scales));
-    in = la::CsrMatrixT<V>(in_structure_, la::CsrValueMode::kColumnScale,
-                           std::move(scales));
+                            OutDegreeReciprocals<V>(out_offsets));
   }
 }
 
 void Graph::EnsureTier(la::Precision tier) {
   if (HasTier(tier)) return;
   if (tier == la::Precision::kFloat64) {
-    MaterializeTierT<double>(out_csr_, in_csr_);
+    MaterializeTierT<double>(out_csr_);
     has_fp64_ = true;
   } else {
-    MaterializeTierT<float>(out_csr_f_, in_csr_f_);
+    MaterializeTierT<float>(out_csr_f_);
     has_fp32_ = true;
   }
 }

@@ -32,23 +32,23 @@ enum class ValueStorage : uint8_t {
   /// One materialized value per edge — 12 bytes/nnz at fp64, 8 at fp32.
   /// The general mode; a future weighted-graph build path requires it.
   kExplicit,
-  /// Value-free: the out-CSR synthesizes 1/out-degree in registers (no
-  /// array at all) and the in-CSR reads a per-node column scale (n entries,
-  /// not nnz), cutting the streamed hot-loop footprint to the index-only
-  /// ≈4 bytes/nnz.  Applies exactly because the out-degree normalization
-  /// makes every edge weight a function of its source node — bitwise
-  /// identical to kExplicit, which stores those same numbers per edge.
+  /// Value-free: the out-CSR reads 1/out-degree from a per-node scale (n
+  /// entries, not nnz), cutting the streamed hot-loop footprint to the
+  /// index-only ≈4 bytes/nnz.  Applies exactly because the out-degree
+  /// normalization makes every edge weight a function of its source node —
+  /// bitwise identical to kExplicit, which stores those same numbers per
+  /// edge.
   kRowConstant,
 };
 
 /// Immutable directed graph stored as one shared index structure per
-/// direction — the row-normalized adjacency matrix Ã over out-edges and its
-/// transpose Ã^T over in-edges — plus per-precision-tier value arrays on
-/// top.  The normalized edge weights (1/out-degree of the source) are
-/// materialized once (or, under ValueStorage::kRowConstant, synthesized by
-/// the kernels), so the transition-matrix products that dominate every
-/// method's runtime are pure CSR sweeps with no per-edge degree lookup or
-/// division.
+/// direction — out-edges (the row-normalized adjacency matrix Ã) and
+/// in-edges (its transpose's topology) — plus per-precision-tier value
+/// arrays on the out-CSR.  The normalized edge weights (1/out-degree of the
+/// source) are materialized once (or, under ValueStorage::kRowConstant,
+/// read from a per-node scale), so the transition-matrix product Ã^T·x that
+/// dominates every method's runtime is a pure CSR scatter with no per-edge
+/// degree lookup or division.
 ///
 /// Dual-tier layout: the topology (offsets + indices) lives in
 /// la::CsrStructure bundles held by shared_ptr, and each precision tier is
@@ -63,11 +63,9 @@ enum class ValueStorage : uint8_t {
 /// structure directly and work regardless of tiers; the typed matrix
 /// accessors CHECK that the requested tier is materialized.
 ///
-/// The in/out dual layout supports the two product flavors used throughout
-/// the library:
-///  * push (scatter) over out-edges  — natural for CPI/TPA,
-///  * pull (gather) over in-edges    — natural for per-node residual updates
-///    in push-style local methods and exposed for the ablation benchmarks.
+/// Propagation always scatters over out-edges.  The in-edge topology carries
+/// no values: it serves the in-neighbor walks of the push-style local
+/// methods, HubPPR, and graph statistics.
 ///
 /// Dangling nodes (out-degree 0) lose their score mass during propagation,
 /// matching CPI's column-substochastic treatment; graph sources that need
@@ -154,29 +152,10 @@ class Graph {
     }
   }
 
-  /// Ã^T as a weighted CSR at tier V: row v holds v's in-neighbors u with
-  /// weight 1/out-degree(u).
-  template <typename V>
-  const la::CsrMatrixT<V>& TransitionTransposeT() const {
-    if constexpr (std::is_same_v<V, double>) {
-      TPA_CHECK(has_fp64_);
-      return in_csr_;
-    } else {
-      TPA_CHECK(has_fp32_);
-      return in_csr_f_;
-    }
-  }
-
-  /// The fp64 matrices (the historical accessors; CHECK fp64 tier).
+  /// The fp64 matrix (the historical accessor; CHECK fp64 tier).
   const la::CsrMatrix& Transition() const { return TransitionT<double>(); }
-  const la::CsrMatrix& TransitionTranspose() const {
-    return TransitionTransposeT<double>();
-  }
-  /// The fp32 matrices (CHECK fp32 tier).
+  /// The fp32 matrix (CHECK fp32 tier).
   const la::CsrMatrixF& TransitionF() const { return TransitionT<float>(); }
-  const la::CsrMatrixF& TransitionTransposeF() const {
-    return TransitionTransposeT<float>();
-  }
 
   /// Number of dangling (out-degree zero) nodes.
   NodeId CountDangling() const;
@@ -189,18 +168,6 @@ class Graph {
   void MultiplyTranspose(const std::vector<double>& x,
                          std::vector<double>& y) const {
     MultiplyTransposeT<double>(x, y);
-  }
-
-  /// y = Ã^T x via pull/gather over in-edges; bitwise-equal semantics to
-  /// MultiplyTranspose up to floating point association order.
-  template <typename V>
-  void MultiplyTransposePullT(const std::vector<V>& x,
-                              std::vector<V>& y) const {
-    TransitionTransposeT<V>().SpMv(x, y);
-  }
-  void MultiplyTransposePull(const std::vector<double>& x,
-                             std::vector<double>& y) const {
-    MultiplyTransposePullT<double>(x, y);
   }
 
   /// Y = Ã^T X for a whole block of vectors in one sweep over the out-edge
@@ -216,38 +183,12 @@ class Graph {
     MultiplyTransposeBlockT<double>(x, y);
   }
 
-  /// Pull-flavor block product over the in-edge CSR arrays; per-vector
-  /// bitwise match of MultiplyTransposePull.
-  template <typename V>
-  void MultiplyTransposePullBlockT(const la::DenseBlockT<V>& x,
-                                   la::DenseBlockT<V>& y) const {
-    TransitionTransposeT<V>().SpMm(x, y);
-  }
-  void MultiplyTransposePullBlock(const la::DenseBlock& x,
-                                  la::DenseBlock& y) const {
-    MultiplyTransposePullBlockT<double>(x, y);
-  }
-
-  /// Parallel y = Ã^T x: the scatter partitioned by destination range and
-  /// dispatched on `runner`.  Each destination is owned by exactly one
-  /// partition, so the result is bitwise-identical to MultiplyTranspose
-  /// regardless of scheduling.  The nnz-balanced partition is computed once
-  /// per (graph, parts) pair and cached.
-  template <typename V>
-  void MultiplyTransposeParallelT(const std::vector<V>& x, std::vector<V>& y,
-                                  la::TaskRunner& runner) const {
-    TransitionT<V>().SpMvTransposeParallel(
-        x, y, OutColumnPartition(static_cast<size_t>(runner.concurrency())),
-        runner);
-  }
-  void MultiplyTransposeParallel(const std::vector<double>& x,
-                                 std::vector<double>& y,
-                                 la::TaskRunner& runner) const {
-    MultiplyTransposeParallelT<double>(x, y, runner);
-  }
-
-  /// Parallel block flavor; per-vector bitwise match of
-  /// MultiplyTransposeBlock — the engine's intra-group parallel SpMM.
+  /// Parallel Y = Ã^T X: the block scatter partitioned by destination range
+  /// and dispatched on `runner` — the engine's intra-group parallel SpMM.
+  /// Each destination is owned by exactly one partition, so vector b of Y
+  /// is bitwise-identical to MultiplyTransposeBlock regardless of
+  /// scheduling.  The nnz-balanced partition is computed once per (graph,
+  /// parts) pair and cached.
   template <typename V>
   void MultiplyTransposeBlockParallelT(const la::DenseBlockT<V>& x,
                                        la::DenseBlockT<V>& y,
@@ -282,17 +223,17 @@ class Graph {
 
   /// Logical bytes held by this graph (experiment reporting and the
   /// engine's kAuto batch heuristic): each direction's index structure
-  /// counted once, plus the value/scale arrays of every materialized tier.
-  /// Under kRowConstant the per-tier addition is O(n) scale bytes instead
-  /// of O(nnz) values — the footprint the value-free hot loops actually
-  /// stream.  Structure-sharing sibling graphs each report the full
+  /// counted once, plus the out-CSR value/scale array of every materialized
+  /// tier.  Under kRowConstant the per-tier addition is O(n) scale bytes
+  /// instead of O(nnz) values — the footprint the value-free hot loops
+  /// actually stream.  Structure-sharing sibling graphs each report the full
   /// structure; callers deduplicating across siblings can subtract
   /// la::CsrStructureBytes.
   size_t SizeBytes() const {
     size_t bytes = la::CsrStructureBytes(out_structure_) +
                    la::CsrStructureBytes(in_structure_);
-    if (has_fp64_) bytes += out_csr_.ValueBytes() + in_csr_.ValueBytes();
-    if (has_fp32_) bytes += out_csr_f_.ValueBytes() + in_csr_f_.ValueBytes();
+    if (has_fp64_) bytes += out_csr_.ValueBytes();
+    if (has_fp32_) bytes += out_csr_f_.ValueBytes();
     return bytes;
   }
 
@@ -315,22 +256,20 @@ class Graph {
   friend class snapshot::GraphFactory;
 
   template <typename V>
-  void MaterializeTierT(la::CsrMatrixT<V>& out, la::CsrMatrixT<V>& in) const;
+  void MaterializeTierT(la::CsrMatrixT<V>& out) const;
 
   NodeId num_nodes_ = 0;
   la::Precision precision_ = la::Precision::kFloat64;
   ValueStorage value_storage_ = ValueStorage::kExplicit;
   la::CsrStructure out_structure_;  // Ã topology: row u → out-neighbors
-  la::CsrStructure in_structure_;   // Ã^T topology: row v → in-neighbors
+  la::CsrStructure in_structure_;   // topology only: row v → in-neighbors
   bool has_fp64_ = false;
   bool has_fp32_ = false;
-  // Tier value layers over the shared structures; weight of an edge from u
-  // is 1/out-degree(u) at both tiers, stored or synthesized per
-  // value_storage_.  Unmaterialized tiers stay default-empty.
+  // Tier value layers over the shared out-structure; weight of an edge from
+  // u is 1/out-degree(u) at both tiers, stored or read from a per-node scale
+  // per value_storage_.  Unmaterialized tiers stay default-empty.
   la::CsrMatrix out_csr_;
-  la::CsrMatrix in_csr_;
   la::CsrMatrixF out_csr_f_;
-  la::CsrMatrixF in_csr_f_;
   std::shared_ptr<const Permutation> permutation_;  // null = original order
   std::shared_ptr<PartitionCache> partition_cache_;
 };

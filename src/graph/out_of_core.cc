@@ -16,7 +16,9 @@ namespace {
 
 constexpr char kOocMagic[8] = {'T', 'P', 'A', 'C', 'S', 'R', '1', '\0'};
 constexpr uint32_t kOocEndianTag = 0x01020304u;
-constexpr uint32_t kOocVersion = 1;
+// Version 2 dropped the per-edge in-CSR values (version 1's second value
+// array); version-1 files are rejected by the version check.
+constexpr uint32_t kOocVersion = 2;
 constexpr uint64_t kOocAlignment = 64;
 
 /// Self-describing header of the file-backed CSR, so a previously built
@@ -46,10 +48,9 @@ struct OocLayout {
   uint64_t out_indices = 0;
   uint64_t in_offsets = 0;
   uint64_t in_indices = 0;
-  /// kExplicit: per-edge out values then per-edge in values.
-  /// kRowConstant: one n-length scales array (values_b unused).
-  uint64_t values_a = 0;
-  uint64_t values_b = 0;
+  /// Out-CSR values.  kExplicit: one per edge.  kRowConstant: one n-length
+  /// scales array.
+  uint64_t values = 0;
   uint64_t total = 0;
 };
 
@@ -68,12 +69,8 @@ OocLayout ComputeLayout(uint64_t n, uint64_t m, la::Precision precision,
   layout.out_indices = place(m * sizeof(uint32_t));
   layout.in_offsets = place((n + 1) * sizeof(uint64_t));
   layout.in_indices = place(m * sizeof(uint32_t));
-  if (storage == ValueStorage::kExplicit) {
-    layout.values_a = place(m * value_bytes);
-    layout.values_b = place(m * value_bytes);
-  } else {
-    layout.values_a = place(n * value_bytes);
-  }
+  layout.values =
+      place((storage == ValueStorage::kExplicit ? m : n) * value_bytes);
   layout.total = offset;
   return layout;
 }
@@ -94,19 +91,6 @@ void WriteOutValues(const uint64_t* out_offsets, uint64_t n, V* values) {
     if (begin == end) continue;
     const V w = static_cast<V>(1.0 / static_cast<double>(end - begin));
     for (uint64_t e = begin; e < end; ++e) values[e] = w;
-  }
-}
-
-/// Explicit in-CSR values: edge (v ← u) carries 1/out-degree(u) — Graph's
-/// InWeights expression.  Streams in_indices sequentially; the out-offset
-/// lookups are the one gather of the build.
-template <typename V>
-void WriteInValues(const uint64_t* out_offsets, const uint32_t* in_indices,
-                   uint64_t m, V* values) {
-  for (uint64_t e = 0; e < m; ++e) {
-    const uint32_t u = in_indices[e];
-    values[e] = static_cast<V>(
-        1.0 / static_cast<double>(out_offsets[u + 1] - out_offsets[u]));
   }
 }
 
@@ -159,25 +143,19 @@ StatusOr<OutOfCoreGraph> AssembleGraph(std::shared_ptr<MappedFile> file,
   parts.in_structure.row_offsets = view_u64(layout.in_offsets, n + 1);
   parts.in_structure.col_indices = view_u32(layout.in_indices, m);
 
+  const auto* values64 = reinterpret_cast<const double*>(base + layout.values);
+  const auto* values32 = reinterpret_cast<const float*>(base + layout.values);
   if (storage == ValueStorage::kExplicit) {
     if (parts.has_fp64) {
-      parts.out_values64 = la::SharedArray<double>::View(
-          file, reinterpret_cast<const double*>(base + layout.values_a), m);
-      parts.in_values64 = la::SharedArray<double>::View(
-          file, reinterpret_cast<const double*>(base + layout.values_b), m);
+      parts.out_values64 = la::SharedArray<double>::View(file, values64, m);
     } else {
-      parts.out_values32 = la::SharedArray<float>::View(
-          file, reinterpret_cast<const float*>(base + layout.values_a), m);
-      parts.in_values32 = la::SharedArray<float>::View(
-          file, reinterpret_cast<const float*>(base + layout.values_b), m);
+      parts.out_values32 = la::SharedArray<float>::View(file, values32, m);
     }
   } else {
     if (parts.has_fp64) {
-      parts.scales64 = la::SharedArray<double>::View(
-          file, reinterpret_cast<const double*>(base + layout.values_a), n);
+      parts.scales64 = la::SharedArray<double>::View(file, values64, n);
     } else {
-      parts.scales32 = la::SharedArray<float>::View(
-          file, reinterpret_cast<const float*>(base + layout.values_a), n);
+      parts.scales32 = la::SharedArray<float>::View(file, values32, n);
     }
   }
 
@@ -421,25 +399,19 @@ StatusOr<OutOfCoreGraph> OutOfCoreGraphBuilder::Build() {
 
   // Value passes, same expressions as the in-RAM Graph's tier
   // materialization.
+  auto* values64 = reinterpret_cast<double*>(base + layout.values);
+  auto* values32 = reinterpret_cast<float*>(base + layout.values);
   if (storage == ValueStorage::kExplicit) {
     if (precision == la::Precision::kFloat64) {
-      WriteOutValues(out_offsets, n,
-                     reinterpret_cast<double*>(base + layout.values_a));
-      WriteInValues(out_offsets, in_indices, m,
-                    reinterpret_cast<double*>(base + layout.values_b));
+      WriteOutValues(out_offsets, n, values64);
     } else {
-      WriteOutValues(out_offsets, n,
-                     reinterpret_cast<float*>(base + layout.values_a));
-      WriteInValues(out_offsets, in_indices, m,
-                    reinterpret_cast<float*>(base + layout.values_b));
+      WriteOutValues(out_offsets, n, values32);
     }
   } else {
     if (precision == la::Precision::kFloat64) {
-      WriteScales(out_offsets, n,
-                  reinterpret_cast<double*>(base + layout.values_a));
+      WriteScales(out_offsets, n, values64);
     } else {
-      WriteScales(out_offsets, n,
-                  reinterpret_cast<float*>(base + layout.values_a));
+      WriteScales(out_offsets, n, values32);
     }
   }
 

@@ -89,7 +89,7 @@ struct ExplicitVals {
   static constexpr bool kRowConstantWeight = false;
   const V* values;
   V Row(uint32_t) const { return V{}; }  // unused
-  V Edge(uint64_t e, uint32_t) const { return values[e]; }
+  V Edge(uint64_t e) const { return values[e]; }
 };
 
 /// Synthesized 1/row-nnz — no array.  The expression matches the one that
@@ -104,7 +104,7 @@ struct SynthRowVals {
     return static_cast<V>(1.0 /
                           static_cast<double>(offsets[r + 1] - offsets[r]));
   }
-  V Edge(uint64_t, uint32_t) const { return V{}; }  // unused
+  V Edge(uint64_t) const { return V{}; }  // unused
 };
 
 template <typename V>
@@ -112,15 +112,7 @@ struct RowScaleVals {
   static constexpr bool kRowConstantWeight = true;
   const V* scales;  // size rows
   V Row(uint32_t r) const { return scales[r]; }
-  V Edge(uint64_t, uint32_t) const { return V{}; }  // unused
-};
-
-template <typename V>
-struct ColScaleVals {
-  static constexpr bool kRowConstantWeight = false;
-  const V* scales;  // size cols
-  V Row(uint32_t) const { return V{}; }  // unused
-  V Edge(uint64_t, uint32_t col) const { return scales[col]; }
+  V Edge(uint64_t) const { return V{}; }  // unused
 };
 
 /// Invokes f with the value policy matching `mode` — the single runtime
@@ -140,64 +132,17 @@ void DispatchVals(CsrValueMode mode, const SharedArray<V>& values,
         f(RowScaleVals<V>{scales.data()});
       }
       return;
-    case CsrValueMode::kColumnScale:
-      f(ColScaleVals<V>{scales.data()});
-      return;
   }
 }
 
 /// Prefetch distance for the dense kernels' random-access operand (the
-/// gathered x row / scattered y row).  The column-index stream names each
-/// destination this many edges in advance; issuing the prefetch there hides
-/// the L2-missing latency that otherwise dominates once the vector operand
-/// outgrows L2 — and is what the kernels' per-edge cost is mostly made of on
-/// large graphs (the streamed CSR bytes are the smaller part, which is also
-/// why value-free storage only pays off once this latency is hidden).
+/// scattered y row).  The column-index stream names each destination this
+/// many edges in advance; issuing the prefetch there hides the L2-missing
+/// latency that otherwise dominates once the vector operand outgrows L2 —
+/// and is what the kernels' per-edge cost is mostly made of on large graphs
+/// (the streamed CSR bytes are the smaller part, which is also why
+/// value-free storage only pays off once this latency is hidden).
 constexpr uint64_t kPrefetchDistance = 16;
-
-/// Full gather of one row in SpMv's accumulation order: fp64 sum over the
-/// row's edges.  Shared by the dense gather, the block-width-1 case, and
-/// the frontier gather head (whose bitwise contract is exactly "this row,
-/// computed as the dense kernel computes it").  `prefetch_nnz` bounds a
-/// look-ahead prefetch of x[indices[e + kPrefetchDistance]] — the dense
-/// caller passes the matrix nnz (the global edge stream is contiguous
-/// across rows, so the look-ahead lands in rows about to be gathered); the
-/// frontier caller passes 0 (disabled: its candidate rows are sparse, so
-/// edges past the row end belong to rows that may never be visited).
-template <typename V, typename Vals>
-double GatherRow(const uint64_t* offsets, const uint32_t* indices, Vals vals,
-                 const V* x, uint32_t r, uint64_t prefetch_nnz = 0) {
-  const uint64_t begin = offsets[r];
-  const uint64_t end = offsets[r + 1];
-  double sum = 0.0;
-  if constexpr (Vals::kRowConstantWeight) {
-    if (begin == end) return 0.0;
-    const double w = static_cast<double>(vals.Row(r));
-    for (uint64_t e = begin; e < end; ++e) {
-      if (e + kPrefetchDistance < prefetch_nnz) {
-        __builtin_prefetch(&x[indices[e + kPrefetchDistance]], 0);
-      }
-      sum += w * static_cast<double>(x[indices[e]]);
-    }
-  } else {
-    for (uint64_t e = begin; e < end; ++e) {
-      if (e + kPrefetchDistance < prefetch_nnz) {
-        __builtin_prefetch(&x[indices[e + kPrefetchDistance]], 0);
-      }
-      sum += static_cast<double>(vals.Edge(e, indices[e])) *
-             static_cast<double>(x[indices[e]]);
-    }
-  }
-  return sum;
-}
-
-template <typename V, typename Vals>
-void SpMvLoop(const uint64_t* offsets, const uint32_t* indices, Vals vals,
-              uint32_t rows, uint64_t nnz, const V* x, V* y) {
-  for (uint32_t r = 0; r < rows; ++r) {
-    y[r] = static_cast<V>(GatherRow(offsets, indices, vals, x, r, nnz));
-  }
-}
 
 template <typename V, typename Vals>
 void SpMvTransposeLoop(const uint64_t* offsets, const uint32_t* indices,
@@ -225,7 +170,7 @@ void SpMvTransposeLoop(const uint64_t* offsets, const uint32_t* indices,
         if (e + kPrefetchDistance < nnz) {
           __builtin_prefetch(&y[indices[e + kPrefetchDistance]], 1);
         }
-        y[indices[e]] += vals.Edge(e, indices[e]) * xr;
+        y[indices[e]] += vals.Edge(e) * xr;
       }
     }
   }
@@ -236,93 +181,7 @@ void SpMvTransposeLoop(const uint64_t* offsets, const uint32_t* indices,
 /// bound the compiler keeps a loop (and an alias check) on the hottest
 /// three instructions of the library.  Widths up to 16 cover every group
 /// size the engine dispatches by default; wider blocks fall back to the
-/// runtime loop.  Gathers accumulate in fp64 and round once on store;
-/// scatters update in native V (see the class comment for the tiered
-/// arithmetic contract).
-template <size_t kWidth, typename V, typename Vals>
-void SpMmRows(const uint64_t* offsets, const uint32_t* indices, Vals vals,
-              uint32_t rows, uint64_t nnz, const DenseBlockT<V>& x,
-              DenseBlockT<V>& y) {
-  // The row accumulators are fp64 (a local register block), rounded to V
-  // once on store — exactly SpMv's per-row accumulation, which is what
-  // keeps vector b of the block bitwise-identical to the scalar kernel at
-  // the fp32 tier too.  For V = double the store casts are no-ops and the
-  // arithmetic is unchanged.
-  for (uint32_t r = 0; r < rows; ++r) {
-    double sums[kWidth];
-    for (size_t b = 0; b < kWidth; ++b) sums[b] = 0.0;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin != end) {
-        const double w = static_cast<double>(vals.Row(r));
-        for (uint64_t e = begin; e < end; ++e) {
-          if (e + kPrefetchDistance < nnz) {
-            __builtin_prefetch(x.RowPtr(indices[e + kPrefetchDistance]), 0);
-          }
-          const V* __restrict xr = x.RowPtr(indices[e]);
-          for (size_t b = 0; b < kWidth; ++b) {
-            sums[b] += w * static_cast<double>(xr[b]);
-          }
-        }
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        if (e + kPrefetchDistance < nnz) {
-          __builtin_prefetch(x.RowPtr(indices[e + kPrefetchDistance]), 0);
-        }
-        const double w = vals.Edge(e, indices[e]);
-        const V* __restrict xr = x.RowPtr(indices[e]);
-        for (size_t b = 0; b < kWidth; ++b) {
-          sums[b] += w * static_cast<double>(xr[b]);
-        }
-      }
-    }
-    V* __restrict out = y.RowPtr(r);
-    for (size_t b = 0; b < kWidth; ++b) out[b] = static_cast<V>(sums[b]);
-  }
-}
-
-template <typename V, typename Vals>
-void SpMmRowsGeneric(const uint64_t* offsets, const uint32_t* indices,
-                     Vals vals, uint32_t rows, uint64_t nnz,
-                     size_t num_vectors, const DenseBlockT<V>& x,
-                     DenseBlockT<V>& y, std::vector<double>& sums) {
-  sums.resize(num_vectors);
-  for (uint32_t r = 0; r < rows; ++r) {
-    for (size_t b = 0; b < num_vectors; ++b) sums[b] = 0.0;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin != end) {
-        const double w = static_cast<double>(vals.Row(r));
-        for (uint64_t e = begin; e < end; ++e) {
-          if (e + kPrefetchDistance < nnz) {
-            __builtin_prefetch(x.RowPtr(indices[e + kPrefetchDistance]), 0);
-          }
-          const V* __restrict xr = x.RowPtr(indices[e]);
-          for (size_t b = 0; b < num_vectors; ++b) {
-            sums[b] += w * static_cast<double>(xr[b]);
-          }
-        }
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        if (e + kPrefetchDistance < nnz) {
-          __builtin_prefetch(x.RowPtr(indices[e + kPrefetchDistance]), 0);
-        }
-        const double w = vals.Edge(e, indices[e]);
-        const V* __restrict xr = x.RowPtr(indices[e]);
-        for (size_t b = 0; b < num_vectors; ++b) {
-          sums[b] += w * static_cast<double>(xr[b]);
-        }
-      }
-    }
-    V* __restrict out = y.RowPtr(r);
-    for (size_t b = 0; b < num_vectors; ++b) out[b] = static_cast<V>(sums[b]);
-  }
-}
-
+/// runtime loop.  Destinations update in native V (see the class comment).
 template <size_t kWidth, typename V, typename Vals>
 void SpMmTransposeRows(const uint64_t* offsets, const uint32_t* indices,
                        Vals vals, uint32_t rows, uint64_t nnz,
@@ -359,7 +218,7 @@ void SpMmTransposeRows(const uint64_t* offsets, const uint32_t* indices,
         if (e + kPrefetch < nnz) {
           __builtin_prefetch(y.RowPtr(indices[e + kPrefetch]), 1);
         }
-        const V w = vals.Edge(e, indices[e]);
+        const V w = vals.Edge(e);
         V* __restrict yr = y.RowPtr(indices[e]);
         for (size_t b = 0; b < kWidth; ++b) yr[b] += w * xr[b];
       }
@@ -389,7 +248,7 @@ void SpMmTransposeRowsGeneric(const uint64_t* offsets, const uint32_t* indices,
       }
     } else {
       for (uint64_t e = begin; e < end; ++e) {
-        const V w = vals.Edge(e, indices[e]);
+        const V w = vals.Edge(e);
         V* __restrict yr = y.RowPtr(indices[e]);
         for (size_t b = 0; b < num_vectors; ++b) yr[b] += w * xr[b];
       }
@@ -444,12 +303,8 @@ CsrMatrixT<V>::CsrMatrixT(CsrStructure structure, CsrValueMode mode,
     return;
   }
   scales_ = std::move(scales);
-  if (mode_ == CsrValueMode::kRowConstant) {
-    TPA_CHECK(scales_.empty() ||
-              scales_.size() == static_cast<size_t>(structure_.rows));
-  } else {
-    TPA_CHECK_EQ(scales_.size(), static_cast<size_t>(structure_.cols));
-  }
+  TPA_CHECK(scales_.empty() ||
+            scales_.size() == static_cast<size_t>(structure_.rows));
 }
 
 template <typename V>
@@ -468,22 +323,8 @@ V CsrMatrixT<V>::EdgeWeight(uint32_t r, uint64_t e) const {
       return scales_.empty()
                  ? static_cast<V>(1.0 / static_cast<double>(RowNnz(r)))
                  : scales_[r];
-    case CsrValueMode::kColumnScale:
-      return scales_[structure_.col_indices[e]];
   }
   return V{};  // unreachable
-}
-
-template <typename V>
-void CsrMatrixT<V>::SpMv(const std::vector<V>& x, std::vector<V>& y) const {
-  TPA_DCHECK(x.size() == cols());
-  y.resize(rows());
-  if (rows() == 0) return;
-  const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
-  DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    SpMvLoop(offsets, indices, vals, rows(), nnz(), x.data(), y.data());
-  });
 }
 
 template <typename V>
@@ -497,28 +338,6 @@ void CsrMatrixT<V>::SpMvTranspose(const std::vector<V>& x,
   DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
     SpMvTransposeLoop(offsets, indices, vals, rows(), nnz(), x.data(),
                       y.data());
-  });
-}
-
-template <typename V>
-void CsrMatrixT<V>::SpMm(const DenseBlockT<V>& x, DenseBlockT<V>& y) const {
-  TPA_DCHECK(x.rows() == cols());
-  const size_t num_vectors = x.num_vectors();
-  y.Resize(rows(), num_vectors);
-  if (rows() == 0) return;
-  const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
-  DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    DispatchWidth(
-        num_vectors,
-        [&]<size_t kWidth>() {
-          SpMmRows<kWidth>(offsets, indices, vals, rows(), nnz(), x, y);
-        },
-        [&] {
-          std::vector<double> sums;
-          SpMmRowsGeneric(offsets, indices, vals, rows(), nnz(), num_vectors,
-                          x, y, sums);
-        });
   });
 }
 
@@ -581,7 +400,7 @@ void SpMmTransposeFrontierRows(const uint64_t* offsets, const uint32_t* indices,
     } else {
       for (uint64_t e = begin; e < end; ++e) {
         const uint32_t dest = indices[e];
-        const V w = vals.Edge(e, dest);
+        const V w = vals.Edge(e);
         V* __restrict yr = y.RowPtr(dest);
         for (size_t b = 0; b < kWidth; ++b) yr[b] += w * xr[b];
         if (scratch.touched_epoch[dest] != scratch.epoch) {
@@ -626,7 +445,7 @@ void SpMmTransposeFrontierRowsGeneric(const uint64_t* offsets,
     } else {
       for (uint64_t e = begin; e < end; ++e) {
         const uint32_t dest = indices[e];
-        const V w = vals.Edge(e, dest);
+        const V w = vals.Edge(e);
         V* __restrict yr = y.RowPtr(dest);
         for (size_t b = 0; b < num_vectors; ++b) yr[b] += w * xr[b];
         if (scratch.touched_epoch[dest] != scratch.epoch) {
@@ -635,89 +454,6 @@ void SpMmTransposeFrontierRowsGeneric(const uint64_t* offsets,
         }
       }
     }
-  }
-}
-
-/// Inner loop of the block frontier gather: each candidate row is gathered
-/// in full, in SpMm's accumulation order — bitwise-identical per row to the
-/// dense kernel by construction.
-template <size_t kWidth, typename V, typename Vals>
-void SpMmFrontierRows(const uint64_t* offsets, const uint32_t* indices,
-                      Vals vals, std::span<const uint32_t> candidates,
-                      const DenseBlockT<V>& x, DenseBlockT<V>& y,
-                      std::vector<uint32_t>& nonzero_rows) {
-  for (uint32_t r : candidates) {
-    double sums[kWidth];
-    for (size_t b = 0; b < kWidth; ++b) sums[b] = 0.0;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin != end) {
-        const double w = static_cast<double>(vals.Row(r));
-        for (uint64_t e = begin; e < end; ++e) {
-          const V* __restrict xr = x.RowPtr(indices[e]);
-          for (size_t b = 0; b < kWidth; ++b) {
-            sums[b] += w * static_cast<double>(xr[b]);
-          }
-        }
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        const double w = vals.Edge(e, indices[e]);
-        const V* __restrict xr = x.RowPtr(indices[e]);
-        for (size_t b = 0; b < kWidth; ++b) {
-          sums[b] += w * static_cast<double>(xr[b]);
-        }
-      }
-    }
-    V* __restrict out = y.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < kWidth; ++b) {
-      out[b] = static_cast<V>(sums[b]);
-      any_nonzero |= (out[b] != V{0});
-    }
-    if (any_nonzero) nonzero_rows.push_back(r);
-  }
-}
-
-template <typename V, typename Vals>
-void SpMmFrontierRowsGeneric(const uint64_t* offsets, const uint32_t* indices,
-                             Vals vals, std::span<const uint32_t> candidates,
-                             size_t num_vectors, const DenseBlockT<V>& x,
-                             DenseBlockT<V>& y,
-                             std::vector<uint32_t>& nonzero_rows,
-                             std::vector<double>& sums) {
-  sums.resize(num_vectors);
-  for (uint32_t r : candidates) {
-    for (size_t b = 0; b < num_vectors; ++b) sums[b] = 0.0;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin != end) {
-        const double w = static_cast<double>(vals.Row(r));
-        for (uint64_t e = begin; e < end; ++e) {
-          const V* __restrict xr = x.RowPtr(indices[e]);
-          for (size_t b = 0; b < num_vectors; ++b) {
-            sums[b] += w * static_cast<double>(xr[b]);
-          }
-        }
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        const double w = vals.Edge(e, indices[e]);
-        const V* __restrict xr = x.RowPtr(indices[e]);
-        for (size_t b = 0; b < num_vectors; ++b) {
-          sums[b] += w * static_cast<double>(xr[b]);
-        }
-      }
-    }
-    V* __restrict out = y.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < num_vectors; ++b) {
-      out[b] = static_cast<V>(sums[b]);
-      any_nonzero |= (out[b] != V{0});
-    }
-    if (any_nonzero) nonzero_rows.push_back(r);
   }
 }
 
@@ -754,7 +490,7 @@ void SpMmTransposeRangeRows(const uint64_t* offsets, const uint32_t* indices,
       }
     } else {
       for (const uint32_t* it = lo; it != row_end && *it < col_end; ++it) {
-        const V w = vals.Edge(static_cast<uint64_t>(it - indices), *it);
+        const V w = vals.Edge(static_cast<uint64_t>(it - indices));
         V* __restrict yr = y.RowPtr(*it);
         for (size_t b = 0; b < kWidth; ++b) yr[b] += w * xr[b];
       }
@@ -787,7 +523,7 @@ void SpMmTransposeRangeRowsGeneric(const uint64_t* offsets,
       }
     } else {
       for (const uint32_t* it = lo; it != row_end && *it < col_end; ++it) {
-        const V w = vals.Edge(static_cast<uint64_t>(it - indices), *it);
+        const V w = vals.Edge(static_cast<uint64_t>(it - indices));
         V* __restrict yr = y.RowPtr(*it);
         for (size_t b = 0; b < num_vectors; ++b) yr[b] += w * xr[b];
       }
@@ -837,7 +573,7 @@ bool CsrMatrixT<V>::SpMvTransposeFrontier(const std::vector<V>& x,
       } else {
         for (uint64_t e = begin; e < end; ++e) {
           const uint32_t dest = indices[e];
-          y[dest] += vals.Edge(e, dest) * xr;
+          y[dest] += vals.Edge(e) * xr;
           if (scratch.touched_epoch[dest] != scratch.epoch) {
             scratch.touched_epoch[dest] = scratch.epoch;
             next_frontier.push_back(dest);
@@ -890,89 +626,6 @@ bool CsrMatrixT<V>::SpMmTransposeFrontier(const DenseBlockT<V>& x,
 }
 
 template <typename V>
-bool CsrMatrixT<V>::SpMvFrontier(const std::vector<V>& x,
-                                 std::span<const uint32_t> candidates,
-                                 double density_threshold, std::vector<V>& y,
-                                 std::vector<uint32_t>& nonzero_rows) const {
-  TPA_DCHECK(x.size() == cols());
-  if (static_cast<double>(candidates.size()) >
-      density_threshold * static_cast<double>(rows())) {
-    SpMv(x, y);
-    nonzero_rows.clear();
-    return false;
-  }
-  TPA_DCHECK(y.size() == rows());
-  nonzero_rows.clear();
-  if (rows() == 0) return true;
-  const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
-  DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    for (uint32_t r : candidates) {
-      y[r] = static_cast<V>(GatherRow(offsets, indices, vals, x.data(), r));
-      if (y[r] != V{0}) nonzero_rows.push_back(r);
-    }
-  });
-  return true;
-}
-
-template <typename V>
-bool CsrMatrixT<V>::SpMmFrontier(const DenseBlockT<V>& x,
-                                 std::span<const uint32_t> candidates,
-                                 double density_threshold, DenseBlockT<V>& y,
-                                 std::vector<uint32_t>& nonzero_rows) const {
-  TPA_DCHECK(x.rows() == cols());
-  if (static_cast<double>(candidates.size()) >
-      density_threshold * static_cast<double>(rows())) {
-    SpMm(x, y);
-    nonzero_rows.clear();
-    return false;
-  }
-  TPA_DCHECK(y.rows() == rows());
-  TPA_DCHECK(y.num_vectors() == x.num_vectors());
-  nonzero_rows.clear();
-  if (rows() == 0) return true;
-  const size_t num_vectors = x.num_vectors();
-  const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
-  DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    DispatchWidth(
-        num_vectors,
-        [&]<size_t kWidth>() {
-          SpMmFrontierRows<kWidth>(offsets, indices, vals, candidates, x, y,
-                                   nonzero_rows);
-        },
-        [&] {
-          std::vector<double> sums;
-          SpMmFrontierRowsGeneric(offsets, indices, vals, candidates,
-                                  num_vectors, x, y, nonzero_rows, sums);
-        });
-  });
-  return true;
-}
-
-template <typename V>
-void CsrMatrixT<V>::ExpandFrontier(std::span<const uint32_t> rows_list,
-                                   std::vector<uint32_t>& expanded,
-                                   FrontierScratch& scratch) const {
-  scratch.BeginEpoch(cols());
-  expanded.clear();
-  if (rows() == 0) return;
-  const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
-  for (uint32_t r : rows_list) {
-    const uint64_t end = offsets[r + 1];
-    for (uint64_t e = offsets[r]; e < end; ++e) {
-      const uint32_t c = indices[e];
-      if (scratch.touched_epoch[c] != scratch.epoch) {
-        scratch.touched_epoch[c] = scratch.epoch;
-        expanded.push_back(c);
-      }
-    }
-  }
-  std::sort(expanded.begin(), expanded.end());
-}
-
-template <typename V>
 std::vector<uint32_t> CsrMatrixT<V>::NnzBalancedColumnRanges(
     size_t num_parts) const {
   num_parts = std::max<size_t>(1, num_parts);
@@ -994,39 +647,6 @@ std::vector<uint32_t> CsrMatrixT<V>::NnzBalancedColumnRanges(
   while (boundaries.size() <= num_parts) boundaries.push_back(cols());
   boundaries.back() = cols();
   return boundaries;
-}
-
-template <typename V>
-void CsrMatrixT<V>::SpMvTransposeRange(const std::vector<V>& x,
-                                       std::vector<V>& y, uint32_t col_begin,
-                                       uint32_t col_end) const {
-  TPA_DCHECK(x.size() == rows());
-  TPA_DCHECK(y.size() == cols());
-  TPA_DCHECK(col_begin <= col_end && col_end <= cols());
-  std::fill(y.begin() + col_begin, y.begin() + col_end, V{0});
-  if (rows() == 0) return;
-  const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
-  DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    for (uint32_t r = 0; r < rows(); ++r) {
-      const V xr = x[r];
-      if (xr == V{0}) continue;
-      const uint32_t* row_begin = indices + offsets[r];
-      const uint32_t* row_end = indices + offsets[r + 1];
-      const uint32_t* lo = std::lower_bound(row_begin, row_end, col_begin);
-      if constexpr (decltype(vals)::kRowConstantWeight) {
-        if (lo == row_end || *lo >= col_end) continue;
-        const V p = vals.Row(r) * xr;
-        for (const uint32_t* it = lo; it != row_end && *it < col_end; ++it) {
-          y[*it] += p;
-        }
-      } else {
-        for (const uint32_t* it = lo; it != row_end && *it < col_end; ++it) {
-          y[*it] += vals.Edge(static_cast<uint64_t>(it - indices), *it) * xr;
-        }
-      }
-    }
-  });
 }
 
 template <typename V>
@@ -1053,21 +673,6 @@ void CsrMatrixT<V>::SpMmTransposeRange(const DenseBlockT<V>& x,
           SpMmTransposeRangeRowsGeneric(offsets, indices, vals, rows(),
                                         num_vectors, x, y, col_begin, col_end);
         });
-  });
-}
-
-template <typename V>
-void CsrMatrixT<V>::SpMvTransposeParallel(const std::vector<V>& x,
-                                          std::vector<V>& y,
-                                          std::span<const uint32_t> boundaries,
-                                          TaskRunner& runner) const {
-  TPA_DCHECK(x.size() == rows());
-  TPA_CHECK_GE(boundaries.size(), 2u);
-  TPA_CHECK_EQ(boundaries.front(), 0u);
-  TPA_CHECK_EQ(boundaries.back(), cols());
-  y.resize(cols());
-  runner.ParallelFor(boundaries.size() - 1, [&](size_t p) {
-    SpMvTransposeRange(x, y, boundaries[p], boundaries[p + 1]);
   });
 }
 

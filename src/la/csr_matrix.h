@@ -44,11 +44,6 @@ enum class CsrValueMode : uint8_t {
   /// transition matrix, where the value stream is pure redundancy) or read
   /// from a caller-supplied per-row scale array of size rows (not nnz).
   kRowConstant,
-  /// The weight of an edge is a function of its *column*: scales[col], from
-  /// a caller-supplied array of size cols.  This is the transposed view of
-  /// kRowConstant — the in-edge CSR of an out-degree-normalized graph, where
-  /// edge (v ← u) carries 1/out-degree(u) and u is the column index.
-  kColumnScale,
 };
 
 /// The index structure of a CSR matrix — row offsets plus column indices —
@@ -93,17 +88,16 @@ size_t CsrStructureBytes(const CsrStructure& structure);
 /// Unlike SparseMatrix (the assembly-friendly triplet format used by the
 /// block-elimination precomputations), CsrMatrixT is built directly from
 /// already-sorted row-pointer/column-index arrays and stores the normalized
-/// edge weights inline with the column indices, so the SpMv inner loop is a
-/// single contiguous sweep over (index, value) pairs — no per-edge degree
+/// edge weights inline with the column indices, so the scatter inner loop is
+/// a single contiguous sweep over (index, value) pairs — no per-edge degree
 /// lookup, no division, no branch.
 ///
-/// The value storage has three modes (CsrValueMode).  kExplicit keeps one
-/// value per edge — 12 bytes/nnz at fp64, 8 at fp32.  The value-free modes
-/// drop the per-edge array entirely and the kernels synthesize each weight
-/// in registers (kRowConstant: 1/row-nnz or a per-row scale, hoisted out of
-/// the edge loop; kColumnScale: a per-column scale indexed by the same
-/// column id the kernel already loads), cutting the streamed footprint to
-/// the index-only ≈4 bytes/nnz.  Every kernel is bitwise-identical across
+/// The value storage has two modes (CsrValueMode).  kExplicit keeps one
+/// value per edge — 12 bytes/nnz at fp64, 8 at fp32.  The value-free
+/// kRowConstant drops the per-edge array entirely and the kernels
+/// synthesize each weight in registers (1/row-nnz or a per-row scale,
+/// hoisted out of the edge loop), cutting the streamed footprint to the
+/// index-only ≈4 bytes/nnz.  Every kernel is bitwise-identical across
 /// modes when the explicit values equal the synthesized ones bitwise: the
 /// synthesized weight is computed by the exact expression that materialized
 /// the explicit array (1/deg in fp64, rounded once to V), and hoisting the
@@ -112,21 +106,14 @@ size_t CsrStructureBytes(const CsrStructure& structure);
 /// the identical order.
 ///
 /// V is the storage precision tier of the edge values and the vector/block
-/// operands (see Precision).  The arithmetic contract per direction:
-///  * gathers (SpMv/SpMm) accumulate each output in an fp64 register and
-///    round to V once on store — per-entry error O(eps_f32) at the fp32
-///    tier regardless of row length;
-///  * scatters (SpMvTranspose and friends) update destinations in native V
-///    (one product + add rounding per edge), which is what lets the fp32
-///    inner loop vectorize at twice the fp64 lane width instead of paying
-///    a convert per operand — per-destination error O(in-degree · eps_f32),
-///    the same order a V-typed accumulator implies in any case.
-/// The V = double instantiation is bitwise-identical to the historical
-/// all-double kernels under both rules.
-///
-/// Two kernels cover both propagation directions used by CPI:
-///  * SpMv          — gather:  y[r]    = Σ_e values[e] · x[col[e]]
-///  * SpMvTranspose — scatter: y[col[e]] += values[e] · x[r]
+/// operands (see Precision).  The kernels are scatters — y[col[e]] +=
+/// values[e] · x[r], CPI's one propagation direction Ã^T·x over the
+/// out-CSR — and update destinations in native V (one product + add
+/// rounding per edge), which is what lets the fp32 inner loop vectorize at
+/// twice the fp64 lane width instead of paying a convert per operand:
+/// per-destination error O(in-degree · eps_f32), the same order a V-typed
+/// accumulator implies in any case.  The V = double instantiation is
+/// bitwise-identical to the historical all-double kernels.
 template <typename V>
 class CsrMatrixT {
  public:
@@ -140,8 +127,8 @@ class CsrMatrixT {
              std::vector<uint32_t> col_indices, std::vector<V> values);
 
   /// Value-free matrix adopting the arrays.  For kRowConstant, `scales` is
-  /// either empty (weights synthesized as 1/row-nnz) or one entry per row;
-  /// for kColumnScale it is one entry per column.  Passing kExplicit makes
+  /// either empty (weights synthesized as 1/row-nnz) or one entry per row.
+  /// Passing kExplicit makes
   /// `scales` the per-edge value array (size nnz) — that is also where the
   /// legacy five-argument shape lands when `values` is spelled `{}`, since
   /// an empty braced list value-initializes CsrValueMode.
@@ -172,8 +159,7 @@ class CsrMatrixT {
 
   /// The value/scale arrays exactly as stored — the serialization view.
   /// values() is non-empty only under kExplicit (nnz entries); scales() only
-  /// under scaled kRowConstant (rows entries) or kColumnScale (cols
-  /// entries).
+  /// under scaled kRowConstant (rows entries).
   const SharedArray<V>& values() const { return values_; }
   const SharedArray<V>& scales() const { return scales_; }
 
@@ -196,26 +182,17 @@ class CsrMatrixT {
   /// loops.  Requires row_offsets[r] <= e < row_offsets[r+1].
   V EdgeWeight(uint32_t r, uint64_t e) const;
 
-  /// y = A x (gather over rows, fp64 row accumulator).  y is resized and
-  /// overwritten.  Requires x.size() == cols().
-  void SpMv(const std::vector<V>& x, std::vector<V>& y) const;
-
   /// y = A^T x (scatter over rows).  y is resized and zeroed first.
   /// Requires x.size() == rows().
   void SpMvTranspose(const std::vector<V>& x, std::vector<V>& y) const;
 
-  /// Multi-vector gather: Y = A X, one CSR sweep updating all B vectors of
-  /// the block (Y is reshaped to rows() × B and overwritten).  For inputs
-  /// free of NaN/Inf/−0.0, vector b of Y is bitwise-identical to SpMv run on
-  /// vector b of X alone: per vector, the edge contributions accumulate in
-  /// exactly the SpMv order.  Requires x.rows() == cols().
-  void SpMm(const DenseBlockT<V>& x, DenseBlockT<V>& y) const;
-
   /// Multi-vector scatter: Y = A^T X, one CSR sweep updating all B vectors
-  /// (Y is reshaped to cols() × B and zeroed first).  Same per-vector
-  /// bitwise contract as SpMm, against SpMvTranspose.  Block rows of X that
-  /// are entirely zero are skipped, mirroring the scalar kernel's
-  /// zero-source skip.  Requires x.rows() == rows().
+  /// (Y is reshaped to cols() × B and zeroed first).  For inputs free of
+  /// NaN/Inf/−0.0, vector b of Y is bitwise-identical to SpMvTranspose run
+  /// on vector b of X alone: per vector, the edge contributions accumulate
+  /// in exactly the scalar order.  Block rows of X that are entirely zero
+  /// are skipped, mirroring the scalar kernel's zero-source skip.  Requires
+  /// x.rows() == rows().
   void SpMmTranspose(const DenseBlockT<V>& x, DenseBlockT<V>& y) const;
 
   /// Frontier-sparse scatter: the adaptive head of the propagation loop.
@@ -256,45 +233,6 @@ class CsrMatrixT {
                              std::vector<uint32_t>& next_frontier,
                              FrontierScratch& scratch) const;
 
-  /// Frontier-sparse gather: the pull-side mirror of the scatter frontier
-  /// head.  `candidates` lists, in ascending order, a superset of the rows
-  /// whose gather can be nonzero (every row with an edge into the support of
-  /// x — ExpandFrontier on the companion transpose structure produces
-  /// exactly this set).  Each candidate row is gathered *in full*, so its
-  /// result is unconditionally bitwise-identical to the dense SpMv for that
-  /// row; rows not listed are left untouched.  y must be sized rows() and
-  /// all-zero on entry — the caller recycles the buffer by re-zeroing the
-  /// rows named in the previously returned `nonzero_rows`, which collects,
-  /// ascending, the candidates whose result is nonzero.
-  ///
-  /// When the candidate list is dense — candidates.size() >
-  /// density_threshold · rows() — falls through to SpMv (full overwrite),
-  /// leaves nonzero_rows empty, and returns false.
-  bool SpMvFrontier(const std::vector<V>& x,
-                    std::span<const uint32_t> candidates,
-                    double density_threshold, std::vector<V>& y,
-                    std::vector<uint32_t>& nonzero_rows) const;
-
-  /// Multi-vector frontier gather: same contract as SpMvFrontier with block
-  /// operands; a candidate joins nonzero_rows when any of its B results is
-  /// nonzero.  y must be rows() × B and all-zero on entry.  Falls through
-  /// to SpMm above the density threshold (returns false).  Per computed row
-  /// bitwise-identical to SpMm.
-  bool SpMmFrontier(const DenseBlockT<V>& x,
-                    std::span<const uint32_t> candidates,
-                    double density_threshold, DenseBlockT<V>& y,
-                    std::vector<uint32_t>& nonzero_rows) const;
-
-  /// The sorted union of RowIndices over `rows` — structural frontier
-  /// expansion.  Applied to the *companion* matrix of a gather (the out-CSR
-  /// when gathering over the in-CSR), it maps the support of x to the
-  /// candidate output rows SpMvFrontier/SpMmFrontier need: row r's gather
-  /// can be nonzero iff some support node points at r, i.e. r is an
-  /// out-neighbor of the support.
-  void ExpandFrontier(std::span<const uint32_t> rows,
-                      std::vector<uint32_t>& expanded,
-                      FrontierScratch& scratch) const;
-
   /// Destination-balanced partition of [0, cols()) for the parallel scatter
   /// kernels: num_parts+1 ascending boundaries splitting the columns so each
   /// part receives roughly nnz/num_parts incoming edges (hub destinations
@@ -302,31 +240,21 @@ class CsrMatrixT {
   /// sweep — callers cache the result per (matrix, num_parts).
   std::vector<uint32_t> NnzBalancedColumnRanges(size_t num_parts) const;
 
-  /// Partial scatter restricted to destinations in [col_begin, col_end):
-  /// zeroes that slice of y, then accumulates every edge whose column falls
-  /// in the range, rows ascending.  Per destination this reproduces the
-  /// full kernel's accumulation order bitwise, so disjoint ranges covering
-  /// [0, cols()) compose to exactly SpMvTranspose.  y must be sized cols().
-  /// Relies on column indices being sorted within each row (binary search
-  /// for the row's sub-range).
-  void SpMvTransposeRange(const std::vector<V>& x, std::vector<V>& y,
-                          uint32_t col_begin, uint32_t col_end) const;
-
-  /// Block-operand variant of SpMvTransposeRange; y must be cols() × B.
+  /// Partial block scatter restricted to destinations in [col_begin,
+  /// col_end): zeroes that slice of y, then accumulates every edge whose
+  /// column falls in the range, rows ascending.  Per destination this
+  /// reproduces the full kernel's accumulation order bitwise, so disjoint
+  /// ranges covering [0, cols()) compose to exactly SpMmTranspose.  y must be
+  /// cols() × B.  Relies on column indices being sorted within each row
+  /// (binary search for the row's sub-range).
   void SpMmTransposeRange(const DenseBlockT<V>& x, DenseBlockT<V>& y,
                           uint32_t col_begin, uint32_t col_end) const;
 
-  /// Parallel y = A^T x: dispatches SpMvTransposeRange over the destination
+  /// Parallel Y = A^T X: dispatches SpMmTransposeRange over the destination
   /// partition `boundaries` (from NnzBalancedColumnRanges) on `runner`.
   /// Each destination is owned by exactly one range, so the result is
-  /// deterministic and bitwise-identical to the sequential SpMvTranspose
-  /// regardless of scheduling.  y is resized first.
-  void SpMvTransposeParallel(const std::vector<V>& x, std::vector<V>& y,
-                             std::span<const uint32_t> boundaries,
-                             TaskRunner& runner) const;
-
-  /// Parallel Y = A^T X over the same destination partition; per-vector
-  /// bitwise-identical to the sequential SpMmTranspose.
+  /// deterministic and, per vector, bitwise-identical to the sequential
+  /// SpMmTranspose regardless of scheduling.  y is resized first.
   void SpMmTransposeParallel(const DenseBlockT<V>& x, DenseBlockT<V>& y,
                              std::span<const uint32_t> boundaries,
                              TaskRunner& runner) const;
@@ -338,7 +266,7 @@ class CsrMatrixT {
   /// Bytes of the (possibly shared) index structure.
   size_t StructureBytes() const { return CsrStructureBytes(structure_); }
   /// Bytes owned by this matrix alone: the value array (kExplicit, nnz
-  /// entries) or the scale array (value-free, rows/cols entries or none).
+  /// entries) or the scale array (value-free, rows entries or none).
   size_t ValueBytes() const {
     return values_.size() * sizeof(V) + scales_.size() * sizeof(V);
   }
@@ -347,7 +275,7 @@ class CsrMatrixT {
   CsrStructure structure_;
   CsrValueMode mode_ = CsrValueMode::kExplicit;
   SharedArray<V> values_;  // kExplicit: size nnz; else empty
-  SharedArray<V> scales_;  // kRowConstant: empty or rows; kColumnScale: cols
+  SharedArray<V> scales_;  // kRowConstant: empty or rows
 };
 
 /// The fp64 matrix every pre-precision-tier caller already uses.

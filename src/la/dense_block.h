@@ -34,7 +34,7 @@ struct CacheAlignedAllocator {
 };
 
 /// A block of B equally-sized column vectors — the multivector operand of
-/// the batched SpMM kernels (CsrMatrixT::SpMm / SpMmTranspose).
+/// the batched SpMM kernels (CsrMatrixT::SpMmTranspose and its variants).
 ///
 /// Layout: viewed as the B×n matrix whose rows are the B vectors, storage is
 /// column-major — the B entries belonging to one graph node (one "block

@@ -8,10 +8,9 @@ namespace tpa::la {
 
 /// Value-precision tier of the propagation stack.  It selects the storage
 /// type of every value the hot loops stream — CSR edge weights, CPI interim
-/// vectors, DenseBlock multivectors, cached score vectors — with gather
-/// reductions still accumulated in fp64 (see CsrMatrixT for the per-kernel
-/// arithmetic contract).  kFloat64 is the
-/// default and is bitwise-identical to the historical all-double pipeline;
+/// vectors, DenseBlock multivectors, cached score vectors (see CsrMatrixT
+/// for the kernels' arithmetic contract).  kFloat64 is the default and is
+/// bitwise-identical to the historical all-double pipeline;
 /// kFloat32 halves the value bytes per edge and per cached entry, trading a
 /// rounding error that is orders of magnitude below the approximation
 /// error TPA already accepts (the accuracy-envelope tests pin this).

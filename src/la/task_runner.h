@@ -7,7 +7,7 @@
 namespace tpa::la {
 
 /// Minimal parallel-execution interface consumed by the partitioned dense
-/// kernels (CsrMatrix::SpMvTransposeParallel / SpMmTransposeParallel).
+/// kernel (CsrMatrix::SpMmTransposeParallel).
 ///
 /// The kernels only need a blocking fork-join over an index range; keeping
 /// the interface here (rather than depending on the engine's ThreadPool)

@@ -6,7 +6,9 @@
 
 namespace tpa::snapshot {
 
-/// On-disk snapshot format, version 1.
+/// On-disk snapshot format, version 2.  Version 1 also stored a weighted
+/// in-CSR (section ids 7 and 9, retired) for a gather propagation flavor
+/// that no longer exists; readers reject it through the version check.
 ///
 /// Layout:
 ///   [SnapshotHeader: 64 bytes]
@@ -23,13 +25,14 @@ namespace tpa::snapshot {
 
 inline constexpr char kMagic[8] = {'T', 'P', 'A', 'S', 'N', 'A', 'P', '1'};
 inline constexpr uint32_t kEndianTag = 0x01020304u;
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 inline constexpr size_t kSectionAlignment = 64;
 
 /// Section identifiers.  A file carries the subset its graph configuration
 /// needs (e.g. no value sections under value-free storage, no fp32 sections
 /// when only the fp64 tier is materialized); readers locate sections by id,
-/// never by position.
+/// never by position.  Values belong to the out-CSR only; the in-CSR is
+/// topology.
 enum class SectionId : uint32_t {
   kMeta = 1,          // MetaSection
   kOutOffsets = 2,    // uint64 × (num_nodes + 1)
@@ -37,9 +40,7 @@ enum class SectionId : uint32_t {
   kInOffsets = 4,     // uint64 × (num_nodes + 1)
   kInIndices = 5,     // uint32 × num_edges
   kOutValuesF64 = 6,  // double × num_edges   (kExplicit, fp64 tier)
-  kInValuesF64 = 7,   // double × num_edges   (kExplicit, fp64 tier)
   kOutValuesF32 = 8,  // float × num_edges    (kExplicit, fp32 tier)
-  kInValuesF32 = 9,   // float × num_edges    (kExplicit, fp32 tier)
   kScalesF64 = 10,    // double × num_nodes   (kRowConstant, fp64 tier)
   kScalesF32 = 11,    // float × num_nodes    (kRowConstant, fp32 tier)
   kStrangerF64 = 12,  // double × num_nodes   (fp64-precision preprocess)
@@ -87,7 +88,7 @@ struct MetaSection {
   double tolerance;
   int32_t family_window;
   int32_t stranger_start;
-  uint32_t use_pull;
+  uint32_t reserved0;  // zero (version 1 stored a propagation flavor here)
   uint32_t pad1;
   double frontier_density_threshold;
   double topk_frontier_density_threshold;

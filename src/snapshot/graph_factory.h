@@ -29,11 +29,11 @@ class GraphFactory {
     la::CsrStructure in_structure;
     bool has_fp64 = false;
     bool has_fp32 = false;
-    // kExplicit layers (per materialized tier): one value per edge.
-    la::SharedArray<double> out_values64, in_values64;
-    la::SharedArray<float> out_values32, in_values32;
-    // kRowConstant layers: the n-length 1/out-degree array shared by both
-    // directions (per-row scale out, per-column scale in).
+    // Out-CSR value layers per materialized tier.  kExplicit: one value
+    // per edge.
+    la::SharedArray<double> out_values64;
+    la::SharedArray<float> out_values32;
+    // kRowConstant: the n-length 1/out-degree per-row scale.
     la::SharedArray<double> scales64;
     la::SharedArray<float> scales32;
     std::shared_ptr<const Permutation> permutation;
@@ -54,30 +54,20 @@ class GraphFactory {
       if (explicit_values) {
         graph->out_csr_ = la::CsrMatrix(parts.out_structure,
                                         std::move(parts.out_values64));
-        graph->in_csr_ =
-            la::CsrMatrix(parts.in_structure, std::move(parts.in_values64));
       } else {
         graph->out_csr_ = la::CsrMatrix(
             parts.out_structure, la::CsrValueMode::kRowConstant,
             parts.scales64);
-        graph->in_csr_ = la::CsrMatrix(parts.in_structure,
-                                       la::CsrValueMode::kColumnScale,
-                                       std::move(parts.scales64));
       }
     }
     if (parts.has_fp32) {
       if (explicit_values) {
         graph->out_csr_f_ = la::CsrMatrixF(parts.out_structure,
                                            std::move(parts.out_values32));
-        graph->in_csr_f_ =
-            la::CsrMatrixF(parts.in_structure, std::move(parts.in_values32));
       } else {
         graph->out_csr_f_ = la::CsrMatrixF(
             parts.out_structure, la::CsrValueMode::kRowConstant,
             parts.scales32);
-        graph->in_csr_f_ = la::CsrMatrixF(parts.in_structure,
-                                          la::CsrValueMode::kColumnScale,
-                                          std::move(parts.scales32));
       }
     }
     graph->permutation_ = std::move(parts.permutation);

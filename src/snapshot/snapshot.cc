@@ -59,9 +59,9 @@ Status CorruptError(const std::string& path, const std::string& what) {
 
 /// The exact sections (and byte sizes) a file with this meta must carry —
 /// presence and sizes are always enforced, so the typed readers below can
-/// index payloads without further bounds checks.
-StatusOr<std::vector<SectionDesc>> ExpectedSections(
-    const MetaSection& meta, const std::string& path) {
+/// index payloads without further bounds checks.  The caller bounds
+/// meta.num_edges by the file size first, so no size product can wrap.
+std::vector<SectionDesc> ExpectedSections(const MetaSection& meta) {
   const uint64_t n = meta.num_nodes;
   const uint64_t m = meta.num_edges;
   std::vector<SectionDesc> expected;
@@ -78,7 +78,6 @@ StatusOr<std::vector<SectionDesc>> ExpectedSections(
   if (meta.has_fp64) {
     if (explicit_values) {
       expect(SectionId::kOutValuesF64, m * sizeof(double));
-      expect(SectionId::kInValuesF64, m * sizeof(double));
     } else {
       expect(SectionId::kScalesF64, n * sizeof(double));
     }
@@ -86,7 +85,6 @@ StatusOr<std::vector<SectionDesc>> ExpectedSections(
   if (meta.has_fp32) {
     if (explicit_values) {
       expect(SectionId::kOutValuesF32, m * sizeof(float));
-      expect(SectionId::kInValuesF32, m * sizeof(float));
     } else {
       expect(SectionId::kScalesF32, n * sizeof(float));
     }
@@ -228,6 +226,15 @@ StatusOr<ParsedSnapshot> ParseSnapshot(const std::string& path,
   if (meta.num_nodes == 0 || meta.num_nodes > UINT32_MAX) {
     return CorruptError(path, "node count out of the NodeId range");
   }
+  // Bounds the edge count before ExpectedSections forms m·4 and m·8: a
+  // count the file cannot hold could otherwise wrap those products back
+  // onto plausible section sizes.
+  if (meta.num_edges > file.size() / sizeof(uint32_t)) {
+    return CorruptError(path, "edge count " + std::to_string(meta.num_edges) +
+                                  " exceeds what a " +
+                                  std::to_string(file.size()) +
+                                  "-byte file can hold");
+  }
   const bool fp64_precision =
       meta.precision == static_cast<uint32_t>(la::Precision::kFloat64);
   if (fp64_precision ? !meta.has_fp64 : !meta.has_fp32) {
@@ -235,8 +242,7 @@ StatusOr<ParsedSnapshot> ParseSnapshot(const std::string& path,
                         "primary precision tier is not marked materialized");
   }
 
-  TPA_ASSIGN_OR_RETURN(std::vector<SectionDesc> expected,
-                       ExpectedSections(meta, path));
+  const std::vector<SectionDesc> expected = ExpectedSections(meta);
   if (expected.size() != parsed.table.size()) {
     return CorruptError(path, "section table does not match configuration");
   }
@@ -298,7 +304,6 @@ SnapshotInfo InfoFromParsed(const ParsedSnapshot& parsed) {
   info.options.tolerance = meta.tolerance;
   info.options.family_window = meta.family_window;
   info.options.stranger_start = meta.stranger_start;
-  info.options.use_pull = meta.use_pull != 0;
   info.options.frontier_density_threshold = meta.frontier_density_threshold;
   info.options.topk_frontier_density_threshold =
       meta.topk_frontier_density_threshold;
@@ -357,7 +362,6 @@ Status WriteSnapshot(const Tpa& tpa, const std::string& path) {
   meta.tolerance = options.tolerance;
   meta.family_window = options.family_window;
   meta.stranger_start = options.stranger_start;
-  meta.use_pull = options.use_pull ? 1 : 0;
   meta.frontier_density_threshold = options.frontier_density_threshold;
   meta.topk_frontier_density_threshold =
       options.topk_frontier_density_threshold;
@@ -376,11 +380,7 @@ Status WriteSnapshot(const Tpa& tpa, const std::string& path) {
     if (explicit_values) {
       PushArraySection(sections, SectionId::kOutValuesF64,
                        graph.Transition().values().data(), m);
-      PushArraySection(sections, SectionId::kInValuesF64,
-                       graph.TransitionTranspose().values().data(), m);
     } else {
-      // The out-CSR's per-row scales and the in-CSR's per-column scales
-      // hold the same n numbers (1/out-degree); one section serves both.
       PushArraySection(sections, SectionId::kScalesF64,
                        graph.Transition().scales().data(), n);
     }
@@ -389,8 +389,6 @@ Status WriteSnapshot(const Tpa& tpa, const std::string& path) {
     if (explicit_values) {
       PushArraySection(sections, SectionId::kOutValuesF32,
                        graph.TransitionF().values().data(), m);
-      PushArraySection(sections, SectionId::kInValuesF32,
-                       graph.TransitionTransposeF().values().data(), m);
     } else {
       PushArraySection(sections, SectionId::kScalesF32,
                        graph.TransitionF().scales().data(), n);
@@ -486,8 +484,6 @@ StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path,
     if (explicit_values) {
       parts.out_values64 =
           SectionArray<double>(parsed, SectionId::kOutValuesF64, mode);
-      parts.in_values64 =
-          SectionArray<double>(parsed, SectionId::kInValuesF64, mode);
     } else {
       parts.scales64 =
           SectionArray<double>(parsed, SectionId::kScalesF64, mode);
@@ -497,8 +493,6 @@ StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path,
     if (explicit_values) {
       parts.out_values32 =
           SectionArray<float>(parsed, SectionId::kOutValuesF32, mode);
-      parts.in_values32 =
-          SectionArray<float>(parsed, SectionId::kInValuesF32, mode);
     } else {
       parts.scales32 =
           SectionArray<float>(parsed, SectionId::kScalesF32, mode);

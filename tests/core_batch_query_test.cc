@@ -42,24 +42,20 @@ TEST(CpiRunBatchTest, MatchesScalarRunBitwise) {
   Graph graph = TestGraph();
   const std::vector<NodeId> seeds = {0, 7, 200, 399, 7};  // includes a dup
 
-  for (bool use_pull : {false, true}) {
-    CpiOptions options;
-    options.use_pull = use_pull;
-    options.start_iteration = 0;
-    options.terminal_iteration = 4;  // TPA's family window shape
+  CpiOptions options;
+  options.start_iteration = 0;
+  options.terminal_iteration = 4;  // TPA's family window shape
 
-    auto block = Cpi::RunBatch(graph, seeds, options);
-    ASSERT_TRUE(block.ok());
-    ASSERT_EQ(block->rows(), graph.num_nodes());
-    ASSERT_EQ(block->num_vectors(), seeds.size());
+  auto block = Cpi::RunBatch(graph, seeds, options);
+  ASSERT_TRUE(block.ok());
+  ASSERT_EQ(block->rows(), graph.num_nodes());
+  ASSERT_EQ(block->num_vectors(), seeds.size());
 
-    for (size_t b = 0; b < seeds.size(); ++b) {
-      auto scalar = Cpi::Run(graph, {seeds[b]}, options);
-      ASSERT_TRUE(scalar.ok());
-      ExpectVectorBitwiseEq(block->ExtractVector(b), scalar->scores,
-                            "pull=" + std::to_string(use_pull) + " seed " +
-                                std::to_string(seeds[b]));
-    }
+  for (size_t b = 0; b < seeds.size(); ++b) {
+    auto scalar = Cpi::Run(graph, {seeds[b]}, options);
+    ASSERT_TRUE(scalar.ok());
+    ExpectVectorBitwiseEq(block->ExtractVector(b), scalar->scores,
+                          "seed " + std::to_string(seeds[b]));
   }
 }
 
@@ -186,22 +182,6 @@ TEST(TpaQueryBatchTest, BitwiseMatchesSequentialQuery) {
   auto block = tpa->QueryBatch(seeds);
   ASSERT_TRUE(block.ok());
   ASSERT_EQ(block->num_vectors(), seeds.size());
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    ExpectVectorBitwiseEq(block->ExtractVector(b), tpa->Query(seeds[b]),
-                          "seed " + std::to_string(seeds[b]));
-  }
-}
-
-TEST(TpaQueryBatchTest, PullFlavorAlsoBitwise) {
-  Graph graph = TestGraph(91);
-  TpaOptions options;
-  options.use_pull = true;
-  auto tpa = Tpa::Preprocess(graph, options);
-  ASSERT_TRUE(tpa.ok());
-
-  const std::vector<NodeId> seeds = {3, 42, 333};
-  auto block = tpa->QueryBatch(seeds);
-  ASSERT_TRUE(block.ok());
   for (size_t b = 0; b < seeds.size(); ++b) {
     ExpectVectorBitwiseEq(block->ExtractVector(b), tpa->Query(seeds[b]),
                           "seed " + std::to_string(seeds[b]));

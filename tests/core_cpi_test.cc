@@ -151,17 +151,6 @@ TEST(CpiTest, MultiSeedDistributesUniformly) {
   EXPECT_LT(la::L1Distance(multi->scores, avg), 1e-7);
 }
 
-TEST(CpiTest, PushAndPullVariantsAgree) {
-  Graph graph = TestGraph();
-  CpiOptions push, pull;
-  pull.use_pull = true;
-  auto a = Cpi::ExactRwr(graph, 9, push);
-  auto b = Cpi::ExactRwr(graph, 9, pull);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_LT(la::L1Distance(*a, *b), 1e-10);
-}
-
 TEST(CpiTest, IterationCountFormula) {
   // Lemma 4: iterations ≈ log_{1-c}(ε/c).
   const int iters = CpiIterationCount(0.15, 1e-9);

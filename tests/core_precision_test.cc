@@ -67,19 +67,6 @@ TEST(CpiPrecisionTest, Fp32BatchMatchesFp32ScalarBitwise) {
   }
 }
 
-TEST(CpiPrecisionTest, Fp32PullMatchesPushNumerically) {
-  const TierPair graphs = MakeTierPair(11);
-  CpiOptions push;
-  push.tolerance = 1e-8;
-  CpiOptions pull = push;
-  pull.use_pull = true;
-  auto r_push = Cpi::RunT<float>(graphs.fp32, {42}, push);
-  auto r_pull = Cpi::RunT<float>(graphs.fp32, {42}, pull);
-  ASSERT_TRUE(r_push.ok());
-  ASSERT_TRUE(r_pull.ok());
-  EXPECT_LE(la::L1Distance(r_push->scores, r_pull->scores), 1e-4);
-}
-
 TEST(CpiPrecisionTest, Fp32TracksFp64WithinRoundingScale) {
   // The fp32 run solves the same fixed point; its whole-vector L1 distance
   // from the fp64 run must sit at fp32-rounding scale — orders of magnitude

@@ -327,8 +327,8 @@ TEST(EnginePrecisionTest, DualTierServingSharesOneTopology) {
   const TierPair graphs = ServingGraphs(37);
   ASSERT_EQ(graphs.fp64.Transition().structure().col_indices.data(),
             graphs.fp32.TransitionF().structure().col_indices.data());
-  ASSERT_EQ(graphs.fp64.TransitionTranspose().structure().row_offsets.data(),
-            graphs.fp32.TransitionTransposeF().structure().row_offsets.data());
+  ASSERT_EQ(graphs.fp64.InNeighbors(0).data(),
+            graphs.fp32.InNeighbors(0).data());
 
   QueryEngineOptions options;
   options.num_threads = 2;

@@ -134,28 +134,6 @@ TEST(GraphTest, MultiplyTransposeIsColumnStochastic) {
   EXPECT_NEAR(la::NormL1(y), 1.0, 1e-12);
 }
 
-TEST(GraphTest, PushAndPullMatvecsAgree) {
-  GraphBuilder builder(6);
-  builder.AddEdge(0, 1);
-  builder.AddEdge(1, 2);
-  builder.AddEdge(2, 0);
-  builder.AddEdge(2, 3);
-  builder.AddEdge(3, 4);
-  builder.AddEdge(4, 5);
-  builder.AddEdge(5, 0);
-  auto graph = builder.Build();
-  ASSERT_TRUE(graph.ok());
-
-  std::vector<double> x = {0.1, 0.2, 0.3, 0.1, 0.2, 0.1};
-  std::vector<double> push, pull;
-  graph->MultiplyTranspose(x, push);
-  graph->MultiplyTransposePull(x, pull);
-  ASSERT_EQ(push.size(), pull.size());
-  for (size_t i = 0; i < push.size(); ++i) {
-    EXPECT_NEAR(push[i], pull[i], 1e-14);
-  }
-}
-
 TEST(GraphTest, MultiplyTransposeExactValues) {
   // 0 → {1, 2}: x[0] splits evenly.
   GraphBuilder builder(3);
@@ -170,6 +148,27 @@ TEST(GraphTest, MultiplyTransposeExactValues) {
   EXPECT_DOUBLE_EQ(y[0], 0.0);
   EXPECT_DOUBLE_EQ(y[1], 0.5);
   EXPECT_DOUBLE_EQ(y[2], 0.5);
+}
+
+TEST(GraphTest, ExplicitFp64SizeBytesCountsOutValuesOnly) {
+  // 0 → {1, 2}, 1 → 2, 2 → 3, plus the dangling self-loop 3 → 3.  Both
+  // directions store n+1 offsets and m indices; only the out-CSR carries
+  // one fp64 value per edge.
+  GraphBuilder builder(4);
+  builder.AddEdge(0, 1);
+  builder.AddEdge(0, 2);
+  builder.AddEdge(1, 2);
+  builder.AddEdge(2, 3);
+  auto graph = builder.Build();
+  ASSERT_TRUE(graph.ok());
+  const size_t n = graph->num_nodes();
+  const size_t m = graph->num_edges();
+  ASSERT_EQ(m, 5u);
+  const size_t structure_bytes =
+      (n + 1) * sizeof(uint64_t) + m * sizeof(uint32_t);
+  EXPECT_EQ(la::CsrStructureBytes(graph->Transition().structure()),
+            structure_bytes);
+  EXPECT_EQ(graph->SizeBytes(), 2 * structure_bytes + m * sizeof(double));
 }
 
 TEST(GraphTest, SizeBytesScalesWithEdges) {

@@ -227,6 +227,20 @@ TEST_F(OutOfCoreTest, ReopenRejectsCorruptHeaders) {
   ooc_options.csr_path = CsrPath();
   ASSERT_TRUE(GenerateRmatOutOfCore(rmat, std::move(ooc_options)).ok());
 
+  // A version-1 header (the layout with a second, in-CSR value array) is
+  // refused by name rather than mapped with the wrong offsets.
+  {
+    std::fstream f(CsrPath(), std::ios::in | std::ios::out | std::ios::binary);
+    f.seekp(12);  // OocHeader::version, after magic and endian tag
+    const uint32_t version = 1;
+    f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  }
+  const auto v1 = OpenOutOfCoreGraph(CsrPath());
+  ASSERT_FALSE(v1.ok());
+  EXPECT_NE(v1.status().message().find("unsupported version 1"),
+            std::string::npos)
+      << v1.status().message();
+
   // Flip one magic byte: the reopen must fail with a Status, not serve
   // garbage.
   {

@@ -252,14 +252,20 @@ TEST_P(RangeKernelTest, RangesComposeToFullScatterBitwise) {
   std::vector<double> dense;
   csr.SpMvTranspose(x, dense);
 
+  // Width-1 block ranges: the partition composition pinned against the
+  // scalar scatter.
+  la::DenseBlock bx(n, 1);
+  bx.SetVector(0, x);
   for (size_t parts : {size_t{1}, size_t{3}, size_t{8}}) {
     const std::vector<uint32_t> boundaries =
         csr.NnzBalancedColumnRanges(parts);
-    std::vector<double> composed(n, -1.0);  // ranges must overwrite fully
+    la::DenseBlock composed(n, 1);
+    composed.SetVector(0, std::vector<double>(n, -1.0));  // must overwrite
     for (size_t p = 0; p < parts; ++p) {
-      csr.SpMvTransposeRange(x, composed, boundaries[p], boundaries[p + 1]);
+      csr.SpMmTransposeRange(bx, composed, boundaries[p], boundaries[p + 1]);
     }
-    ExpectBitwiseEq(composed, dense, "parts " + std::to_string(parts));
+    ExpectBitwiseEq(composed.ExtractVector(0), dense,
+                    "parts " + std::to_string(parts));
   }
 }
 
@@ -268,11 +274,6 @@ TEST_P(RangeKernelTest, ParallelScatterMatchesSequentialBitwise) {
   const la::CsrMatrix& csr = graph.Transition();
   const uint32_t n = csr.rows();
   Rng rng(GetParam());
-
-  std::vector<double> x(n);
-  for (double& v : x) v = rng.NextDouble();
-  std::vector<double> dense;
-  csr.SpMvTranspose(x, dense);
 
   la::DenseBlock bx(n, 6);
   for (uint32_t r = 0; r < n; ++r) {
@@ -288,10 +289,6 @@ TEST_P(RangeKernelTest, ParallelScatterMatchesSequentialBitwise) {
   for (la::TaskRunner* runner :
        {static_cast<la::TaskRunner*>(&serial),
         static_cast<la::TaskRunner*>(&pool)}) {
-    std::vector<double> y;
-    csr.SpMvTransposeParallel(x, y, boundaries, *runner);
-    ExpectBitwiseEq(y, dense, "SpMv parallel");
-
     la::DenseBlock by;
     csr.SpMmTransposeParallel(bx, by, boundaries, *runner);
     ExpectBlockBitwiseEq(by, bdense, "SpMm parallel");
@@ -303,16 +300,7 @@ TEST_P(RangeKernelTest, GraphParallelMultiplyMatchesSequential) {
   const uint32_t n = graph.num_nodes();
   Rng rng(GetParam());
 
-  std::vector<double> x(n);
-  for (double& v : x) v = rng.NextDouble();
-  std::vector<double> expected;
-  graph.MultiplyTranspose(x, expected);
-
   ThreadPool pool(3);
-  std::vector<double> got;
-  graph.MultiplyTransposeParallel(x, got, pool);
-  ExpectBitwiseEq(got, expected, "graph SpMv parallel");
-
   la::DenseBlock bx(n, 8);
   for (uint32_t r = 0; r < n; ++r) {
     for (size_t b = 0; b < 8; ++b) bx.At(r, b) = rng.NextDouble();

@@ -1,11 +1,9 @@
-/// fp32 precision-tier kernel coverage: every CsrMatrixF flavor — gather,
-/// scatter, block, frontier, range — pinned bitwise against reference
-/// triple-loops that spell out the arithmetic contract (fp64 inner
-/// arithmetic, one rounding to fp32 per store for gathers / per update for
-/// scatters), on the same adversarial CSRs la_gather_test.cc and
-/// la_frontier_test.cc use for the fp64 tier.  Plus the Graph-level tier
-/// plumbing: fp32 materialization, byte accounting, structure parity, and
-/// cross-tier numerical agreement.
+/// fp32 precision-tier kernel coverage: every CsrMatrixF scatter flavor —
+/// scalar, block, frontier, range — pinned bitwise against a reference loop
+/// that spells out the arithmetic contract (one fp32 rounding per product
+/// and per update), on adversarial CSRs with empty rows.  Plus the
+/// Graph-level tier plumbing: fp32 materialization, byte accounting,
+/// structure parity, and cross-tier numerical agreement.
 
 #include <gtest/gtest.h>
 
@@ -27,25 +25,6 @@
 
 namespace tpa {
 namespace {
-
-/// Reference y = A x at the fp32 tier: fp64 row accumulator over fp64
-/// products, rounded to fp32 once on store — the contract of SpMv and of
-/// each vector of SpMm.
-std::vector<float> ReferenceSpMv(const la::CsrMatrixF& a,
-                                 const std::vector<float>& x) {
-  std::vector<float> y(a.rows());
-  for (uint32_t r = 0; r < a.rows(); ++r) {
-    const auto indices = a.RowIndices(r);
-    const auto values = a.RowValues(r);
-    double sum = 0.0;
-    for (size_t e = 0; e < indices.size(); ++e) {
-      sum += static_cast<double>(values[e]) *
-             static_cast<double>(x[indices[e]]);
-    }
-    y[r] = static_cast<float>(sum);
-  }
-  return y;
-}
 
 /// Reference y = A^T x at the fp32 tier: native fp32 updates (the product
 /// and the add each round once per edge), rows ascending — the contract of
@@ -90,19 +69,14 @@ std::vector<uint32_t> FullFrontier(size_t rows) {
 }
 
 /// Pins every fp32 kernel flavor on one matrix, bitwise:
-///  * SpMv / SpMvTranspose against the reference loops,
-///  * SpMm / SpMmTranspose per vector against the scalar kernels,
+///  * SpMvTranspose against the reference loop,
+///  * SpMmTranspose per vector against the scalar kernel,
 ///  * the frontier scatters against their dense counterparts,
-///  * the range scatters composed over a split of [0, cols) against the
-///    full scatter.
+///  * the block range scatter composed over a split of [0, cols) against
+///    the full scatter.
 void CheckPrecisionKernels(const la::CsrMatrixF& a, uint64_t seed,
                            const std::string& label) {
-  const std::vector<float> x_cols = RandomVector(a.cols(), seed);
   const std::vector<float> x_rows = RandomVector(a.rows(), seed + 1);
-
-  std::vector<float> y;
-  a.SpMv(x_cols, y);
-  ExpectBitwiseEq(y, ReferenceSpMv(a, x_cols), label + " SpMv");
 
   std::vector<float> yt;
   a.SpMvTranspose(x_rows, yt);
@@ -130,39 +104,19 @@ void CheckPrecisionKernels(const la::CsrMatrixF& a, uint64_t seed,
     }
   }
 
-  // Range scatter: two asymmetric ranges composing [0, cols) must match the
-  // full scatter bitwise.
-  if (a.cols() > 1) {
-    std::vector<float> yr(a.cols(), -1.0f);
-    const uint32_t mid = a.cols() / 3 + 1;
-    a.SpMvTransposeRange(x_rows, yr, 0, mid);
-    a.SpMvTransposeRange(x_rows, yr, mid, a.cols());
-    ExpectBitwiseEq(yr, yt, label + " SpMvTransposeRange composition");
-  }
-
   for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{8},
                        size_t{16}, size_t{17}}) {
-    la::DenseBlockF gather_x(a.cols(), width);
     la::DenseBlockF scatter_x(a.rows(), width);
-    std::vector<std::vector<float>> gather_cols(width);
     std::vector<std::vector<float>> scatter_cols(width);
     for (size_t b = 0; b < width; ++b) {
-      gather_cols[b] = RandomVector(a.cols(), seed + 1000 * (b + 1));
-      gather_x.SetVector(b, gather_cols[b]);
       scatter_cols[b] = RandomVector(a.rows(), seed + 2000 * (b + 1));
       scatter_x.SetVector(b, scatter_cols[b]);
     }
 
-    la::DenseBlockF gather_y;
-    a.SpMm(gather_x, gather_y);
     la::DenseBlockF scatter_y;
     a.SpMmTranspose(scatter_x, scatter_y);
     for (size_t b = 0; b < width; ++b) {
       std::vector<float> scalar;
-      a.SpMv(gather_cols[b], scalar);
-      ExpectBitwiseEq(gather_y.ExtractVector(b), scalar,
-                      label + " SpMm width " + std::to_string(width) +
-                          " vector " + std::to_string(b));
       a.SpMvTranspose(scatter_cols[b], scalar);
       ExpectBitwiseEq(scatter_y.ExtractVector(b), scalar,
                       label + " SpMmTranspose width " +
@@ -188,7 +142,8 @@ void CheckPrecisionKernels(const la::CsrMatrixF& a, uint64_t seed,
       }
     }
 
-    // Block range composition.
+    // Block range composition: two asymmetric ranges composing [0, cols)
+    // must match the full scatter bitwise.
     if (a.cols() > 1) {
       la::DenseBlockF range_y(a.cols(), width);
       const uint32_t mid = a.cols() / 3 + 1;
@@ -205,18 +160,18 @@ void CheckPrecisionKernels(const la::CsrMatrixF& a, uint64_t seed,
 }
 
 TEST(PrecisionKernelTest, AdversarialCsrWithEmptyRows) {
-  // The la_gather_test.cc fixture at the fp32 tier: 6×5 rectangular CSR
-  // with empty rows 1, 3, 5 and repeated/boundary columns in row 4.
+  // 6×5 rectangular CSR with empty rows 1, 3, 5 and repeated/boundary
+  // columns in row 4.
   la::CsrMatrixF a(
       6, 5, /*row_offsets=*/{0, 2, 2, 3, 3, 6, 6},
       /*col_indices=*/{1, 3, 0, 0, 2, 4},
       /*values=*/{0.5f, 0.25f, 1.0f, 0.125f, -0.75f, 2.0f});
 
-  const std::vector<float> x = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f};
+  const std::vector<float> x = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f};
   std::vector<float> y;
-  a.SpMv(x, y);
-  // Hand-computed gathers (exact in fp32); empty rows exactly zero.
-  ExpectBitwiseEq(y, {2.0f, 0.0f, 1.0f, 0.0f, 0.125f - 2.25f + 10.0f, 0.0f},
+  a.SpMvTranspose(x, y);
+  // Hand-computed scatters (exact in fp32); empty rows contribute nothing.
+  ExpectBitwiseEq(y, {3.0f + 0.625f, 0.5f, -3.75f, 0.25f, 10.0f},
                   "hand-computed");
 
   CheckPrecisionKernels(a, 11, "empty-rows");
@@ -231,8 +186,8 @@ TEST(PrecisionKernelTest, AllRowsEmpty) {
   la::CsrMatrixF a(4, 3, {0, 0, 0, 0, 0}, {}, {});
   CheckPrecisionKernels(a, 23, "all-empty");
   std::vector<float> y(3, 99.0f);  // must be overwritten to exact zeros
-  a.SpMv({1.0f, 2.0f, 3.0f}, y);
-  ExpectBitwiseEq(y, {0.0f, 0.0f, 0.0f, 0.0f}, "all-empty overwrite");
+  a.SpMvTranspose({1.0f, 2.0f, 3.0f, 4.0f}, y);
+  ExpectBitwiseEq(y, {0.0f, 0.0f, 0.0f}, "all-empty overwrite");
 }
 
 TEST(PrecisionKernelTest, DanglingNodesOnFp32Graph) {
@@ -248,7 +203,6 @@ TEST(PrecisionKernelTest, DanglingNodesOnFp32Graph) {
   ASSERT_GT(graph->CountDangling(), 0u);
 
   CheckPrecisionKernels(graph->TransitionF(), 31, "dangling out-CSR");
-  CheckPrecisionKernels(graph->TransitionTransposeF(), 37, "dangling in-CSR");
 }
 
 class PrecisionGraphTest : public ::testing::TestWithParam<uint64_t> {};
@@ -263,8 +217,6 @@ TEST_P(PrecisionGraphTest, RandomGraphKernelsMatchReference) {
   Graph graph32 = RematerializeWithPrecision(*graph, la::Precision::kFloat32);
 
   CheckPrecisionKernels(graph32.TransitionF(), GetParam() + 3, "rmat out-CSR");
-  CheckPrecisionKernels(graph32.TransitionTransposeF(), GetParam() + 5,
-                        "rmat in-CSR");
 }
 
 TEST_P(PrecisionGraphTest, TiersAgreeNumerically) {
@@ -316,10 +268,10 @@ TEST(PrecisionGraphTest, Fp32MaterializationHalvesValueBytes) {
     ASSERT_TRUE(std::equal(n32.begin(), n32.end(), n64.begin(), n64.end()));
   }
 
-  // Value bytes: the two CSR matrices drop exactly 4 bytes per stored edge
-  // each (double → float), i.e. 2 · nnz · 4 total.
+  // Value bytes: the out-CSR drops exactly 4 bytes per stored edge
+  // (double → float).
   const size_t nnz = graph64->num_edges();
-  EXPECT_EQ(graph64->SizeBytes() - graph32.SizeBytes(), 2 * nnz * 4);
+  EXPECT_EQ(graph64->SizeBytes() - graph32.SizeBytes(), nnz * 4);
 
   // Edge weights agree to fp32 rounding.
   const auto v64 = graph64->Transition().RowValues(0);

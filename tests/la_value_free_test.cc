@@ -1,6 +1,6 @@
 /// Value-free CSR coverage: every kernel of CsrMatrixT, run on a value-free
-/// matrix (kRowConstant synthesized, kRowConstant with a per-row scale
-/// array, and kColumnScale) and pinned bitwise against its explicit twin —
+/// matrix (kRowConstant synthesized, and kRowConstant with a per-row scale
+/// array) and pinned bitwise against its explicit twin —
 /// the same structure with the same numbers materialized per edge — across
 /// adversarial CSRs (empty rows, dangling kKeep graphs, boundary columns)
 /// and block widths 1–17.  Plus the dual-tier shared-structure Graph
@@ -74,9 +74,9 @@ la::CsrMatrixT<V> ExplicitTwin(const la::CsrMatrixT<V>& a) {
 }
 
 /// Runs the full kernel family on `vf` and its explicit twin and asserts
-/// bitwise-identical outputs: SpMv, SpMvTranspose, SpMm/SpMmTranspose at
-/// specialized and generic widths, the frontier heads in both directions,
-/// and the range/parallel scatter drivers.
+/// bitwise-identical outputs: SpMvTranspose, SpMmTranspose at specialized
+/// and generic widths, the frontier head, and the range/parallel scatter
+/// drivers.
 template <typename V>
 void CheckValueFreeBitwise(const la::CsrMatrixT<V>& vf, uint64_t seed,
                            const std::string& label) {
@@ -86,14 +86,9 @@ void CheckValueFreeBitwise(const la::CsrMatrixT<V>& vf, uint64_t seed,
   ASSERT_EQ(ex.structure().col_indices.data(),
             vf.structure().col_indices.data());
 
-  const std::vector<V> x_cols = RandomVector<V>(vf.cols(), seed);
   const std::vector<V> x_rows = RandomVector<V>(vf.rows(), seed + 1);
 
   std::vector<V> y_vf, y_ex;
-  vf.SpMv(x_cols, y_vf);
-  ex.SpMv(x_cols, y_ex);
-  ExpectBitwiseEq(y_vf, y_ex, label + " SpMv");
-
   vf.SpMvTranspose(x_rows, y_vf);
   ex.SpMvTranspose(x_rows, y_ex);
   ExpectBitwiseEq(y_vf, y_ex, label + " SpMvTranspose");
@@ -101,17 +96,11 @@ void CheckValueFreeBitwise(const la::CsrMatrixT<V>& vf, uint64_t seed,
   for (size_t width : {size_t{1}, size_t{2}, size_t{3}, size_t{7}, size_t{8},
                        size_t{16}, size_t{17}}) {
     const std::string wlabel = label + " width " + std::to_string(width);
-    la::DenseBlockT<V> bx_cols(vf.cols(), width);
     la::DenseBlockT<V> bx_rows(vf.rows(), width);
     for (size_t b = 0; b < width; ++b) {
-      bx_cols.SetVector(b, RandomVector<V>(vf.cols(), seed + 100 * (b + 1)));
       bx_rows.SetVector(b, RandomVector<V>(vf.rows(), seed + 101 * (b + 1)));
     }
     la::DenseBlockT<V> by_vf, by_ex;
-    vf.SpMm(bx_cols, by_vf);
-    ex.SpMm(bx_cols, by_ex);
-    ExpectBitwiseEq(by_vf, by_ex, wlabel + " SpMm");
-
     vf.SpMmTranspose(bx_rows, by_vf);
     ex.SpMmTranspose(bx_rows, by_ex);
     ExpectBitwiseEq(by_vf, by_ex, wlabel + " SpMmTranspose");
@@ -137,49 +126,38 @@ void CheckValueFreeBitwise(const la::CsrMatrixT<V>& vf, uint64_t seed,
     EXPECT_EQ(next_vf, next_ex) << label;
   }
 
-  // Frontier gather: every row as candidate ≡ dense, both matrices.
+  // Range scatter on a width-1 block: thirds of the destination space
+  // compose to the full kernel; each range must agree across modes.
+  la::DenseBlockT<V> bx(vf.rows(), 1);
+  bx.SetVector(0, x_rows);
   {
-    std::vector<uint32_t> candidates(vf.rows());
-    for (uint32_t r = 0; r < vf.rows(); ++r) candidates[r] = r;
-    std::vector<V> gy_vf(vf.rows(), V{0}), gy_ex(vf.rows(), V{0});
-    std::vector<uint32_t> nz_vf, nz_ex;
-    ASSERT_EQ(vf.SpMvFrontier(x_cols, candidates, 1.5, gy_vf, nz_vf),
-              ex.SpMvFrontier(x_cols, candidates, 1.5, gy_ex, nz_ex))
-        << label;
-    ExpectBitwiseEq(gy_vf, gy_ex, label + " SpMvFrontier");
-    EXPECT_EQ(nz_vf, nz_ex) << label;
-  }
-
-  // Range scatter: thirds of the destination space compose to the full
-  // kernel; each range must agree across modes.
-  {
-    std::vector<V> ry_vf(vf.cols(), V{0}), ry_ex(vf.cols(), V{0});
+    la::DenseBlockT<V> ry_vf(vf.cols(), 1), ry_ex(vf.cols(), 1);
     const uint32_t third = vf.cols() / 3;
     const std::vector<std::pair<uint32_t, uint32_t>> ranges = {
         {0, third}, {third, 2 * third}, {2 * third, vf.cols()}};
     for (const auto& [begin, end] : ranges) {
-      vf.SpMvTransposeRange(x_rows, ry_vf, begin, end);
-      ex.SpMvTransposeRange(x_rows, ry_ex, begin, end);
+      vf.SpMmTransposeRange(bx, ry_vf, begin, end);
+      ex.SpMmTransposeRange(bx, ry_ex, begin, end);
     }
-    ExpectBitwiseEq(ry_vf, ry_ex, label + " SpMvTransposeRange");
+    ExpectBitwiseEq(ry_vf, ry_ex, label + " SpMmTransposeRange");
     ex.SpMvTranspose(x_rows, y_ex);
-    ExpectBitwiseEq(ry_vf, y_ex, label + " range composition");
+    ExpectBitwiseEq(ry_vf.ExtractVector(0), y_ex,
+                    label + " range composition");
   }
 
   // Parallel scatter driver over an nnz-balanced partition.
   {
     ThreadPool pool(2);
     const std::vector<uint32_t> boundaries = vf.NnzBalancedColumnRanges(2);
-    std::vector<V> py_vf, py_ex;
-    vf.SpMvTransposeParallel(x_rows, py_vf, boundaries, pool);
-    ex.SpMvTransposeParallel(x_rows, py_ex, boundaries, pool);
-    ExpectBitwiseEq(py_vf, py_ex, label + " SpMvTransposeParallel");
+    la::DenseBlockT<V> py_vf, py_ex;
+    vf.SpMmTransposeParallel(bx, py_vf, boundaries, pool);
+    ex.SpMmTransposeParallel(bx, py_ex, boundaries, pool);
+    ExpectBitwiseEq(py_vf, py_ex, label + " SpMmTransposeParallel");
   }
 }
 
 /// The adversarial structure every mode is exercised on: 6×6 with empty
-/// rows 1, 3, 5, a full row, and boundary columns.  Square so that both
-/// scatter and gather directions have matching operand sizes.
+/// rows 1, 3, 5, a full row, and boundary columns.
 la::CsrStructure AdversarialStructure() {
   return la::MakeCsrStructure(6, 6, {0, 2, 2, 3, 3, 7, 7},
                               {1, 3, 0, 0, 2, 4, 5});
@@ -211,25 +189,11 @@ TEST(ValueFreeKernelTest, PerRowScaleArrayMatchesExplicit) {
   CheckValueFreeBitwise(af, 9, "row-scale fp32");
 }
 
-TEST(ValueFreeKernelTest, ColumnScaleMatchesExplicit) {
-  const std::vector<double> scales = {0.25, 0.5, -2.0, 0.125, 1.0, 3.0};
-  la::CsrMatrix a(AdversarialStructure(), la::CsrValueMode::kColumnScale,
-                  scales);
-  // Edge 1 of row 0 points at column 3: weight is scales[3].
-  EXPECT_EQ(a.EdgeWeight(0, 1), 0.125);
-  CheckValueFreeBitwise(a, 11, "col-scale fp64");
-
-  const std::vector<float> scales_f(scales.begin(), scales.end());
-  la::CsrMatrixF af(AdversarialStructure(), la::CsrValueMode::kColumnScale,
-                    scales_f);
-  CheckValueFreeBitwise(af, 13, "col-scale fp32");
-}
-
 TEST(ValueFreeKernelTest, AllRowsEmpty) {
   la::CsrMatrix a(4, 4, {0, 0, 0, 0, 0}, {}, la::CsrValueMode::kRowConstant);
   CheckValueFreeBitwise(a, 17, "all-empty");
   std::vector<double> y(4, 99.0);
-  a.SpMv({1.0, 2.0, 3.0, 4.0}, y);
+  a.SpMvTranspose({1.0, 2.0, 3.0, 4.0}, y);
   ExpectBitwiseEq(y, {0.0, 0.0, 0.0, 0.0}, "all-empty overwrite");
 }
 
@@ -241,16 +205,15 @@ TEST(ValueFreeKernelTest, RandomGraphAllModes) {
   auto graph = GenerateRmat(options);
   ASSERT_TRUE(graph.ok());
   const la::CsrStructure& out = graph->Transition().structure();
-  const la::CsrStructure& in = graph->TransitionTranspose().structure();
 
   CheckValueFreeBitwise(la::CsrMatrix(out, la::CsrValueMode::kRowConstant),
                         21, "rmat out synth");
-  std::vector<double> col_scales(in.cols);
+  std::vector<double> row_scales(out.rows);
   Rng rng(99);
-  for (double& s : col_scales) s = rng.NextDouble() + 0.25;
+  for (double& s : row_scales) s = rng.NextDouble() + 0.25;
   CheckValueFreeBitwise(
-      la::CsrMatrix(in, la::CsrValueMode::kColumnScale, col_scales), 23,
-      "rmat in col-scale");
+      la::CsrMatrix(out, la::CsrValueMode::kRowConstant, row_scales), 23,
+      "rmat out row-scale");
 }
 
 TEST(ValueFreeKernelTest, RowValuesChecksOnValueFreeMatrices) {
@@ -309,14 +272,11 @@ void CheckGraphsBitwise(const Graph& vf, const Graph& ex, uint64_t seed) {
   vf.TransitionT<V>().SpMvTranspose(x, y_vf);
   ex.TransitionT<V>().SpMvTranspose(x, y_ex);
   ExpectBitwiseEq(y_vf, y_ex, "graph push");
-  vf.TransitionTransposeT<V>().SpMv(x, y_vf);
-  ex.TransitionTransposeT<V>().SpMv(x, y_ex);
-  ExpectBitwiseEq(y_vf, y_ex, "graph pull");
 }
 
 TEST(ValueFreeGraphTest, ValueFreeGraphMatchesExplicitBitwise) {
-  // kKeep leaves genuinely dangling nodes: empty out-rows for the
-  // synthesized mode and never-read zero column scales for the in-CSR.
+  // kKeep leaves genuinely dangling nodes: empty out-rows whose zero row
+  // scales are never read.
   for (DanglingPolicy dangling :
        {DanglingPolicy::kKeep, DanglingPolicy::kAddSelfLoop}) {
     auto vf = BuildTestGraph(ValueStorage::kRowConstant,
@@ -329,9 +289,8 @@ TEST(ValueFreeGraphTest, ValueFreeGraphMatchesExplicitBitwise) {
       ASSERT_GT(vf->CountDangling(), 0u);
     }
     CheckGraphsBitwise<double>(*vf, *ex, 31);
-    // And the whole kernel family on both directions.
+    // And the whole kernel family.
     CheckValueFreeBitwise(vf->Transition(), 33, "graph out");
-    CheckValueFreeBitwise(vf->TransitionTranspose(), 35, "graph in");
   }
 }
 
@@ -351,16 +310,18 @@ TEST(ValueFreeGraphTest, SizeBytesReflectsStorageMode) {
   auto ex = BuildTestGraph(ValueStorage::kExplicit, la::Precision::kFloat64,
                            DanglingPolicy::kAddSelfLoop);
   ASSERT_TRUE(vf.ok() && ex.ok());
+  // Both directions' topology: the in-structure has the out-structure's
+  // shape (n+1 offsets, nnz indices).
   const size_t structure_bytes =
-      la::CsrStructureBytes(vf->Transition().structure()) +
-      la::CsrStructureBytes(vf->TransitionTranspose().structure());
-  // Value-free: one n-length 1/deg array per direction (row scales for the
-  // out-CSR, column scales for the in-CSR) — nothing proportional to nnz.
+      2 * la::CsrStructureBytes(vf->Transition().structure());
+  // Value-free: one n-length 1/deg row-scale array for the out-CSR —
+  // nothing proportional to nnz.
   EXPECT_EQ(vf->SizeBytes(),
-            structure_bytes + 2 * vf->num_nodes() * sizeof(double));
-  // Explicit: 2·nnz fp64 values on top of the same structure.
+            structure_bytes + vf->num_nodes() * sizeof(double));
+  // Explicit: nnz fp64 out-CSR values on top of the same structure; the
+  // in-CSR carries no values.
   EXPECT_EQ(ex->SizeBytes(),
-            structure_bytes + 2 * ex->num_edges() * sizeof(double));
+            structure_bytes + ex->num_edges() * sizeof(double));
   EXPECT_LT(vf->SizeBytes(), ex->SizeBytes());
 }
 
@@ -374,19 +335,15 @@ TEST(ValueFreeGraphTest, EnsureTierSharesOneTopology) {
   const size_t before = graph->SizeBytes();
   graph->EnsureTier(la::Precision::kFloat32);
   ASSERT_TRUE(graph->HasTier(la::Precision::kFloat32));
-  // The second tier added only its value layer (here: n fp32 row scales +
-  // n fp32 column scales), never a second copy of the topology…
-  EXPECT_EQ(graph->SizeBytes(),
-            before + 2 * graph->num_nodes() * sizeof(float));
+  // The second tier added only its value layer (here: n fp32 row scales),
+  // never a second copy of the topology…
+  EXPECT_EQ(graph->SizeBytes(), before + graph->num_nodes() * sizeof(float));
   // …because both tiers alias the same index arrays.
   EXPECT_EQ(graph->Transition().structure().col_indices.data(),
             graph->TransitionF().structure().col_indices.data());
-  EXPECT_EQ(graph->TransitionTranspose().structure().row_offsets.data(),
-            graph->TransitionTransposeF().structure().row_offsets.data());
   // EnsureTier is idempotent.
   graph->EnsureTier(la::Precision::kFloat32);
-  EXPECT_EQ(graph->SizeBytes(),
-            before + 2 * graph->num_nodes() * sizeof(float));
+  EXPECT_EQ(graph->SizeBytes(), before + graph->num_nodes() * sizeof(float));
 
   // Both tiers serve correct products off the shared topology.
   CheckGraphsBitwise<double>(*graph, *graph, 41);

@@ -1,9 +1,10 @@
 /// Snapshot persistence: save → load → query bitwise-identity across both
-/// precision tiers, both value-storage modes (covering all three
+/// precision tiers, both value-storage modes (covering both
 /// CsrValueModes), both load modes (mmap views and heap copies), and
 /// reordered graphs; warm-started engines (sync and async) serving bitwise
 /// the fresh-preprocess results; the corruption matrix (truncation, bad
-/// magic/version/endianness, checksum flips) surfacing as Status errors —
+/// magic/version/endianness, checksum flips, an overflowing edge count)
+/// surfacing as Status errors —
 /// never crashes; and mmap-view lifetime under ASan.
 
 #include "snapshot/snapshot.h"
@@ -12,6 +13,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
@@ -25,6 +27,7 @@
 #include "snapshot/format.h"
 #include "util/failpoint.h"
 #include "util/mem_stats.h"
+#include "util/serial.h"
 
 namespace tpa {
 namespace {
@@ -224,6 +227,44 @@ TEST_F(SnapshotTest, CorruptFilesAreRejectedWithClearErrors) {
   bytes[12] = 99;  // format_version
   WriteFileBytes(bytes);
   expect_rejected("wrong version", "version");
+
+  bytes = clean;
+  bytes[12] = 1;  // format v1 carried the retired in-CSR value sections
+  WriteFileBytes(bytes);
+  expect_rejected("format v1", "unsupported format version 1");
+
+  // An edge count the file cannot hold, with every checksum recomputed: the
+  // m·4 / m·8 section sizes wrap modulo 2^64 back onto the real ones, so
+  // only an explicit bound on num_edges catches it.
+  {
+    bytes = clean;
+    snapshot::SnapshotHeader header;
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    std::vector<snapshot::SectionDesc> table(header.section_count);
+    std::memcpy(table.data(), bytes.data() + header.section_table_offset,
+                table.size() * sizeof(snapshot::SectionDesc));
+    for (snapshot::SectionDesc& desc : table) {
+      if (desc.id != static_cast<uint32_t>(snapshot::SectionId::kMeta)) {
+        continue;
+      }
+      snapshot::MetaSection meta;
+      std::memcpy(&meta, bytes.data() + desc.offset, sizeof(meta));
+      meta.num_edges += uint64_t{1} << 62;
+      std::memcpy(bytes.data() + desc.offset, &meta, sizeof(meta));
+      desc.crc = Crc32(&meta, sizeof(meta));
+    }
+    std::memcpy(bytes.data() + header.section_table_offset, table.data(),
+                table.size() * sizeof(snapshot::SectionDesc));
+    header.section_table_crc =
+        Crc32(table.data(), table.size() * sizeof(snapshot::SectionDesc));
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    WriteFileBytes(bytes);
+    const auto info = snapshot::ReadSnapshotInfo(path_);
+    ASSERT_FALSE(info.ok());
+    EXPECT_NE(info.status().message().find("edge count"), std::string::npos)
+        << info.status().message();
+    expect_rejected("overflowing edge count", "edge count");
+  }
 
   bytes = clean;
   bytes[sizeof(snapshot::SnapshotHeader) + 4] ^= 0x01;  // section table
