@@ -681,29 +681,20 @@ StatusOr<la::DenseBlockT<V>> Cpi::RunBatchT(
     freeze_aborted(0, norms0);
   }
 
-  la::TaskRunner* runner = options.task_runner;
   for (int i = 1; i <= options.terminal_iteration && remaining > 0; ++i) {
     TPA_FAILPOINT_HIT("cpi.iteration");
-    if (sparse && static_cast<double>(ws.frontier.size()) > limit) {
-      // Cross to the dense tail here (rather than through the kernel's own
-      // fallthrough) so the dense sweep can take the partition-parallel
-      // path below; both orders produce bitwise-identical blocks.
-      sparse = false;
-    }
     if (sparse) {
       // Re-zero the stale support of the recycled buffer (the interim
-      // block from two iterations ago), then scatter from the frontier.
+      // block from two iterations ago), then scatter from the frontier;
+      // above the density threshold the kernel falls through to the dense
+      // sweep and the run stays dense from here on.
       for (NodeId j : ws.next_frontier) {
         V* row = next.RowPtr(j);
         std::fill(row, row + num_vectors, V{0});
       }
-      const bool stayed = graph.TransitionT<V>().SpMmTransposeFrontier(
+      sparse = graph.TransitionT<V>().SpMmTransposeFrontier(
           x, ws.frontier, options.frontier_density_threshold, next,
           ws.next_frontier, ws.scratch);
-      TPA_DCHECK(stayed);  // the pre-check above mirrors the kernel's
-      (void)stayed;
-    } else if (runner != nullptr) {
-      graph.MultiplyTransposeBlockParallelT<V>(x, next, *runner);
     } else {
       graph.MultiplyTransposeBlockT<V>(x, next);
     }

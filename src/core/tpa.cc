@@ -239,12 +239,10 @@ StatusOr<la::DenseBlockT<V>> Tpa::QueryBatchT(
     std::span<const NodeId> seeds,
     std::span<QueryContext* const> contexts) const {
   TPA_FAILPOINT("tpa.workspace_checkout");
-  CpiOptions cpi = FamilyCpiOptions();
-  cpi.task_runner = options_.task_runner;
   WorkspacePool::Lease workspace = workspaces_->Acquire();
-  TPA_ASSIGN_OR_RETURN(
-      la::DenseBlockT<V> block,
-      Cpi::RunBatchT<V>(*graph_, seeds, cpi, workspace.get(), contexts));
+  TPA_ASSIGN_OR_RETURN(la::DenseBlockT<V> block,
+                       Cpi::RunBatchT<V>(*graph_, seeds, FamilyCpiOptions(),
+                                         workspace.get(), contexts));
 
   // The same fused merge as QueryPersonalized, blocked:
   // total = (1 + scale)·family + stranger per vector.

@@ -45,10 +45,6 @@ struct TpaOptions {
   /// while full queries — which pay the dense merge regardless — prefer the
   /// 0.125 default.  Results identical at any setting.
   double topk_frontier_density_threshold = 0.002;
-  /// Optional fork-join runner for the dense tail of QueryBatch (forwarded
-  /// to CpiOptions::task_runner; the engine wires its ThreadPool in via
-  /// set_task_runner).  Not owned.
-  la::TaskRunner* task_runner = nullptr;
 };
 
 /// Two Phase Approximation for RWR (the paper's proposed method).
@@ -209,13 +205,6 @@ class Tpa {
 
   /// The graph this instance was preprocessed against (borrowed).
   const Graph& graph() const { return *graph_; }
-
-  /// Installs (or clears) the fork-join runner used by QueryBatch's dense
-  /// tail.  Queries already in flight keep the runner they started with;
-  /// call before serving.
-  void set_task_runner(la::TaskRunner* runner) {
-    options_.task_runner = runner;
-  }
 
   /// The propagation-workspace pool shared by every query against this
   /// preprocessed state: one workspace per *concurrent* query, checked out

@@ -401,10 +401,7 @@ bool AsyncQueryEngine::IsOverloaded(size_t queue_depth) const {
   if (!policy.enabled) return false;
   const double watermark =
       policy.queue_watermark * static_cast<double>(options_.queue_capacity);
-  if (static_cast<double>(queue_depth) >= watermark) return true;
-  return policy.miss_rate_watermark <= 1.0 &&
-         miss_ewma_.load(std::memory_order_relaxed) >=
-             policy.miss_rate_watermark;
+  return static_cast<double>(queue_depth) >= watermark;
 }
 
 void AsyncQueryEngine::RecordDeadlineOutcome(bool missed) {

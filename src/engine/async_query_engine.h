@@ -49,10 +49,6 @@ struct DegradationPolicy {
   /// 0 (the default) means "always overloaded" once the policy is enabled.
   /// Must lie in [0, 1].
   double queue_watermark = 0.0;
-  /// Deadline-miss-rate watermark over the EWMA of deadline-bearing
-  /// completions (1 = every deadline missed).  Values above 1 disable the
-  /// signal (the default): queue depth alone decides.
-  double miss_rate_watermark = 2.0;
   /// Iterations a degrading query must complete before honoring an abort,
   /// so a degraded answer is never the bare restart vector.  The error
   /// bound stays certified regardless.
@@ -236,8 +232,8 @@ class AsyncQueryEngine {
     /// Tickets currently waiting for dispatch.
     size_t queue_depth = 0;
     /// EWMA of deadline misses over deadline-bearing completions (1 =
-    /// every recent deadline missed) — the DegradationPolicy miss-rate
-    /// signal.  0 while no deadline-bearing ticket has completed.
+    /// every recent deadline missed).  0 while no deadline-bearing ticket
+    /// has completed.
     double deadline_miss_rate = 0.0;
   };
   AsyncStats stats() const;
@@ -253,7 +249,7 @@ class AsyncQueryEngine {
 
   void SchedulerLoop();
   /// Whether a dispatch observing `queue_depth` waiting tickets should run
-  /// degraded under the policy's watermarks.
+  /// degraded under the policy's queue watermark.
   bool IsOverloaded(size_t queue_depth) const;
   /// Folds one deadline-bearing completion into the miss-rate EWMA.
   void RecordDeadlineOutcome(bool missed);

@@ -104,15 +104,6 @@ QueryEngine::QueryEngine(const Graph& graph, std::unique_ptr<RwrMethod> method,
       method_mu_(std::make_unique<std::mutex>()) {
   options_.batch_block_size =
       ResolveBatchBlockSize(options.batch_block_size, graph, *method_);
-  // Batched queries may partition their dense SpMM sweeps across the same
-  // pool that runs the group jobs (ThreadPool::ParallelFor is re-entrant).
-  // Gate on real parallelism: each destination partition rescans the whole
-  // row set (binary-searching its column sub-ranges), so on a single
-  // hardware thread — or a single-worker pool — the fan-out is pure
-  // overhead.
-  if (pool_->num_threads() > 1 && std::thread::hardware_concurrency() > 1) {
-    method_->SetTaskRunner(pool_.get());
-  }
 }
 
 StatusOr<QueryEngine> QueryEngine::Create(const Graph& graph,

@@ -1,7 +1,5 @@
 #include "engine/thread_pool.h"
 
-#include <atomic>
-#include <memory>
 #include <utility>
 
 #include "util/check.h"
@@ -32,61 +30,6 @@ void ThreadPool::Submit(std::function<void()> job) {
     queue_.push_back(std::move(job));
   }
   cv_.notify_one();
-}
-
-namespace {
-
-/// Shared state of one ParallelFor: a claim index drained by the caller and
-/// any helpers that get scheduled, plus a completion count the caller waits
-/// on.  Heap-allocated and shared so a helper scheduled after the caller
-/// already returned (having drained everything itself) touches valid
-/// memory.
-struct ParallelForState {
-  explicit ParallelForState(size_t total_tasks,
-                            const std::function<void(size_t)>& task_fn)
-      : total(total_tasks), fn(task_fn) {}
-
-  const size_t total;
-  const std::function<void(size_t)> fn;
-  std::atomic<size_t> next{0};
-  std::mutex mu;
-  std::condition_variable done_cv;
-  size_t done = 0;
-
-  /// Claims and runs tasks until the index is exhausted.
-  void Drain() {
-    size_t completed = 0;
-    for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < total;
-         i = next.fetch_add(1, std::memory_order_relaxed)) {
-      fn(i);
-      ++completed;
-    }
-    if (completed > 0) {
-      std::lock_guard<std::mutex> lock(mu);
-      done += completed;
-      if (done == total) done_cv.notify_all();
-    }
-  }
-};
-
-}  // namespace
-
-void ThreadPool::ParallelFor(size_t num_tasks,
-                             const std::function<void(size_t)>& fn) {
-  if (num_tasks == 0) return;
-  if (num_tasks == 1 || num_threads() <= 1) {
-    for (size_t i = 0; i < num_tasks; ++i) fn(i);
-    return;
-  }
-  auto state = std::make_shared<ParallelForState>(num_tasks, fn);
-  const size_t helpers =
-      std::min<size_t>(num_tasks, static_cast<size_t>(num_threads())) - 1;
-  for (size_t h = 0; h < helpers; ++h) {
-    Submit([state] { state->Drain(); });
-  }
-  state->Drain();
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->done_cv.wait(lock, [&] { return state->done == state->total; });
 }
 
 void ThreadPool::WorkerLoop() {

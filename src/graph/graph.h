@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <type_traits>
 #include <vector>
@@ -11,7 +10,6 @@
 #include "graph/permutation.h"
 #include "la/csr_matrix.h"
 #include "la/precision.h"
-#include "la/task_runner.h"
 
 namespace tpa {
 
@@ -183,33 +181,6 @@ class Graph {
     MultiplyTransposeBlockT<double>(x, y);
   }
 
-  /// Parallel Y = Ã^T X: the block scatter partitioned by destination range
-  /// and dispatched on `runner` — the engine's intra-group parallel SpMM.
-  /// Each destination is owned by exactly one partition, so vector b of Y
-  /// is bitwise-identical to MultiplyTransposeBlock regardless of
-  /// scheduling.  The nnz-balanced partition is computed once per (graph,
-  /// parts) pair and cached.
-  template <typename V>
-  void MultiplyTransposeBlockParallelT(const la::DenseBlockT<V>& x,
-                                       la::DenseBlockT<V>& y,
-                                       la::TaskRunner& runner) const {
-    TransitionT<V>().SpMmTransposeParallel(
-        x, y, OutColumnPartition(static_cast<size_t>(runner.concurrency())),
-        runner);
-  }
-  void MultiplyTransposeBlockParallel(const la::DenseBlock& x,
-                                      la::DenseBlock& y,
-                                      la::TaskRunner& runner) const {
-    MultiplyTransposeBlockParallelT<double>(x, y, runner);
-  }
-
-  /// The nnz-balanced destination partition of the out-CSR for `parts`
-  /// ranges, built lazily and cached (thread-safe).  Purely structural, so
-  /// the same partition serves both precision tiers — and the cache itself
-  /// is shared between structure-sharing graphs (RematerializeWithPrecision
-  /// siblings reuse partitions computed by either side).
-  std::span<const uint32_t> OutColumnPartition(size_t parts) const;
-
   /// The external↔internal node-id mapping applied by GraphBuilder when a
   /// locality ordering was requested; null when nodes are stored in their
   /// original order.  Serving layers translate at this boundary — see
@@ -238,14 +209,6 @@ class Graph {
   }
 
  private:
-  /// Lazily built destination partitions keyed by part count (small: one
-  /// entry per distinct ThreadPool size that served this graph).  Shared
-  /// between structure-sharing graphs, hence behind a shared_ptr.
-  struct PartitionCache {
-    std::mutex mu;
-    std::vector<std::pair<size_t, std::vector<uint32_t>>> entries;
-  };
-
   /// Shared-structure sibling at another tier (RematerializeWithPrecision).
   Graph(const Graph& other, la::Precision tier);
   friend Graph RematerializeWithPrecision(const Graph& graph,
@@ -271,16 +234,14 @@ class Graph {
   la::CsrMatrix out_csr_;
   la::CsrMatrixF out_csr_f_;
   std::shared_ptr<const Permutation> permutation_;  // null = original order
-  std::shared_ptr<PartitionCache> partition_cache_;
 };
 
 /// Re-materializes `graph` at the other precision tier: a sibling Graph
 /// whose primary tier is `precision` and whose index structure *aliases*
 /// the input's (shared_ptr topology — no O(nnz) copy; only the new tier's
-/// value arrays are built).  The permutation and the partition cache are
-/// shared too.  Used by benchmarks and tests to compare tiers on identical
-/// graphs, and by servers that load a graph once and serve both tiers off
-/// one topology.
+/// value arrays are built).  The permutation is shared too.  Used by
+/// benchmarks and tests to compare tiers on identical graphs, and by servers
+/// that load a graph once and serve both tiers off one topology.
 Graph RematerializeWithPrecision(const Graph& graph, la::Precision precision);
 
 }  // namespace tpa

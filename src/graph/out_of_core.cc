@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -166,8 +167,12 @@ StatusOr<OutOfCoreGraph> AssembleGraph(std::shared_ptr<MappedFile> file,
   return result;
 }
 
-Status ValidateOocHeader(const OocHeader& header, uint64_t mapped_bytes,
-                         const std::string& path) {
+/// Everything OpenOutOfCoreGraph trusts before mapping arrays into a Graph:
+/// the header fields, then both directions' CSR structure.  TPACSR carries
+/// no checksum, so the structure is checked on every open.
+Status ValidateOocFile(const uint8_t* base, uint64_t mapped_bytes,
+                       const std::string& path) {
+  const OocHeader& header = *reinterpret_cast<const OocHeader*>(base);
   if (std::memcmp(header.magic, kOocMagic, sizeof(kOocMagic)) != 0) {
     return InvalidArgumentError("'" + path + "' is not a TPACSR1 file");
   }
@@ -180,6 +185,22 @@ Status ValidateOocHeader(const OocHeader& header, uint64_t mapped_bytes,
                                 std::to_string(header.version));
   }
   TPA_RETURN_IF_ERROR(ValidateNodeCount(header.num_nodes));
+  constexpr auto kMaxPrecision = static_cast<uint32_t>(la::Precision::kFloat32);
+  constexpr auto kMaxStorage =
+      static_cast<uint32_t>(ValueStorage::kRowConstant);
+  if (header.precision > kMaxPrecision || header.value_storage > kMaxStorage) {
+    return InvalidArgumentError("'" + path + "' has an unknown precision " +
+                                std::to_string(header.precision) +
+                                " or value storage " +
+                                std::to_string(header.value_storage));
+  }
+  // Every edge takes an out-index and an in-index in the file; bounding the
+  // count first keeps the layout sizes below from wrapping modulo 2^64.
+  if (header.num_edges > mapped_bytes / (2 * sizeof(uint32_t))) {
+    return InvalidArgumentError("'" + path + "' claims an edge count of " +
+                                std::to_string(header.num_edges) +
+                                " that the file cannot hold");
+  }
   const OocLayout layout = ComputeLayout(
       header.num_nodes, header.num_edges,
       static_cast<la::Precision>(header.precision),
@@ -191,7 +212,20 @@ Status ValidateOocHeader(const OocHeader& header, uint64_t mapped_bytes,
                                 std::to_string(layout.total) + ", file has " +
                                 std::to_string(mapped_bytes));
   }
-  return OkStatus();
+  const uint64_t n = header.num_nodes;
+  const uint64_t m = header.num_edges;
+  auto check_direction = [&](const std::string& which, uint64_t offsets_at,
+                             uint64_t indices_at) {
+    const Status valid = la::CheckCsrArrays(
+        n, n, {reinterpret_cast<const uint64_t*>(base + offsets_at), n + 1},
+        {reinterpret_cast<const uint32_t*>(base + indices_at), m});
+    if (valid.ok()) return valid;
+    return InvalidArgumentError("'" + path + "' " + which + ": " +
+                                valid.message());
+  };
+  TPA_RETURN_IF_ERROR(
+      check_direction("out-CSR", layout.out_offsets, layout.out_indices));
+  return check_direction("in-CSR", layout.in_offsets, layout.in_indices);
 }
 
 }  // namespace
@@ -444,8 +478,7 @@ StatusOr<OutOfCoreGraph> OpenOutOfCoreGraph(const std::string& csr_path) {
   }
   auto file = std::make_shared<MappedFile>(std::move(mapped));
   const uint8_t* base = file->data();
-  const OocHeader* header = reinterpret_cast<const OocHeader*>(base);
-  TPA_RETURN_IF_ERROR(ValidateOocHeader(*header, file->size(), csr_path));
+  TPA_RETURN_IF_ERROR(ValidateOocFile(base, file->size(), csr_path));
   return AssembleGraph(std::move(file), base);
 }
 

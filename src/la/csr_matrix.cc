@@ -1,57 +1,39 @@
 #include "la/csr_matrix.h"
 
 #include <algorithm>
+#include <string>
 
 #include "la/width_dispatch.h"
 #include "util/check.h"
 
 namespace tpa::la {
 
-CsrStructure MakeCsrStructure(uint32_t rows, uint32_t cols,
-                              std::vector<uint64_t> row_offsets,
-                              std::vector<uint32_t> col_indices) {
-  TPA_CHECK_EQ(row_offsets.size(), static_cast<size_t>(rows) + 1);
-  TPA_CHECK_EQ(row_offsets.front(), 0u);
-  TPA_CHECK_EQ(row_offsets.back(), col_indices.size());
-  for (uint32_t r = 0; r < rows; ++r) {
-    TPA_CHECK_LE(row_offsets[r], row_offsets[r + 1]);
-  }
-  for (uint32_t c : col_indices) TPA_CHECK_LT(c, cols);
-  CsrStructure structure;
-  structure.rows = rows;
-  structure.cols = cols;
-  structure.row_offsets = SharedArray<uint64_t>(std::move(row_offsets));
-  structure.col_indices = SharedArray<uint32_t>(std::move(col_indices));
-  return structure;
-}
-
-StatusOr<CsrStructure> MakeCsrStructureChecked(
-    uint32_t rows, uint32_t cols, std::vector<uint64_t> row_offsets,
-    std::vector<uint32_t> col_indices) {
-  if (row_offsets.size() != static_cast<size_t>(rows) + 1) {
+Status CheckCsrArrays(uint64_t rows, uint64_t cols,
+                      std::span<const uint64_t> row_offsets,
+                      std::span<const uint32_t> col_indices) {
+  if (row_offsets.size() != rows + 1) {
     return InvalidArgumentError(
         "row_offsets has " + std::to_string(row_offsets.size()) +
-        " entries, want rows+1 = " +
-        std::to_string(static_cast<size_t>(rows) + 1));
+        " entries, want rows+1 = " + std::to_string(rows + 1));
   }
   if (row_offsets.front() != 0) {
     return InvalidArgumentError("row_offsets[0] = " +
                                 std::to_string(row_offsets.front()) +
                                 ", want 0");
   }
-  if (row_offsets.back() != col_indices.size()) {
-    return InvalidArgumentError(
-        "row_offsets[rows] = " + std::to_string(row_offsets.back()) +
-        " does not match col_indices.size() = " +
-        std::to_string(col_indices.size()));
-  }
-  for (uint32_t r = 0; r < rows; ++r) {
+  for (uint64_t r = 0; r < rows; ++r) {
     if (row_offsets[r] > row_offsets[r + 1]) {
       return InvalidArgumentError(
           "row_offsets not monotone at row " + std::to_string(r) + ": " +
           std::to_string(row_offsets[r]) + " > " +
           std::to_string(row_offsets[r + 1]));
     }
+  }
+  if (row_offsets.back() != col_indices.size()) {
+    return InvalidArgumentError(
+        "row_offsets[rows] = " + std::to_string(row_offsets.back()) +
+        " does not match the index count " +
+        std::to_string(col_indices.size()));
   }
   for (size_t i = 0; i < col_indices.size(); ++i) {
     if (col_indices[i] >= cols) {
@@ -60,6 +42,17 @@ StatusOr<CsrStructure> MakeCsrStructureChecked(
                                   " out of range for " + std::to_string(cols) +
                                   " columns");
     }
+  }
+  return OkStatus();
+}
+
+CsrStructure MakeCsrStructure(uint32_t rows, uint32_t cols,
+                              std::vector<uint64_t> row_offsets,
+                              std::vector<uint32_t> col_indices) {
+  const Status valid = CheckCsrArrays(rows, cols, row_offsets, col_indices);
+  if (!valid.ok()) {
+    internal_check::CheckFail(__FILE__, __LINE__, "CheckCsrArrays",
+                              valid.ToString());
   }
   CsrStructure structure;
   structure.rows = rows;
@@ -457,80 +450,6 @@ void SpMmTransposeFrontierRowsGeneric(const uint64_t* offsets,
   }
 }
 
-/// Block-row zeroing of y[col_begin, col_end) — the range kernels own their
-/// destination slice end to end.
-template <typename V>
-void ZeroBlockRows(DenseBlockT<V>& y, uint32_t begin, uint32_t end) {
-  if (begin >= end) return;
-  V* first = y.RowPtr(begin);
-  std::fill(first, first + (end - begin) * y.num_vectors(), V{0});
-}
-
-template <size_t kWidth, typename V, typename Vals>
-void SpMmTransposeRangeRows(const uint64_t* offsets, const uint32_t* indices,
-                            Vals vals, uint32_t rows, const DenseBlockT<V>& x,
-                            DenseBlockT<V>& y, uint32_t col_begin,
-                            uint32_t col_end) {
-  for (uint32_t r = 0; r < rows; ++r) {
-    const V* __restrict xr = x.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < kWidth; ++b) any_nonzero |= (xr[b] != V{0});
-    if (!any_nonzero) continue;
-    const uint32_t* row_begin = indices + offsets[r];
-    const uint32_t* row_end = indices + offsets[r + 1];
-    const uint32_t* lo = std::lower_bound(row_begin, row_end, col_begin);
-    if constexpr (Vals::kRowConstantWeight) {
-      if (lo == row_end || *lo >= col_end) continue;
-      V p[kWidth];
-      const V w = vals.Row(r);
-      for (size_t b = 0; b < kWidth; ++b) p[b] = w * xr[b];
-      for (const uint32_t* it = lo; it != row_end && *it < col_end; ++it) {
-        V* __restrict yr = y.RowPtr(*it);
-        for (size_t b = 0; b < kWidth; ++b) yr[b] += p[b];
-      }
-    } else {
-      for (const uint32_t* it = lo; it != row_end && *it < col_end; ++it) {
-        const V w = vals.Edge(static_cast<uint64_t>(it - indices));
-        V* __restrict yr = y.RowPtr(*it);
-        for (size_t b = 0; b < kWidth; ++b) yr[b] += w * xr[b];
-      }
-    }
-  }
-}
-
-template <typename V, typename Vals>
-void SpMmTransposeRangeRowsGeneric(const uint64_t* offsets,
-                                   const uint32_t* indices, Vals vals,
-                                   uint32_t rows, size_t num_vectors,
-                                   const DenseBlockT<V>& x, DenseBlockT<V>& y,
-                                   uint32_t col_begin, uint32_t col_end) {
-  std::vector<V> p(num_vectors);
-  for (uint32_t r = 0; r < rows; ++r) {
-    const V* __restrict xr = x.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < num_vectors; ++b) any_nonzero |= (xr[b] != V{0});
-    if (!any_nonzero) continue;
-    const uint32_t* row_begin = indices + offsets[r];
-    const uint32_t* row_end = indices + offsets[r + 1];
-    const uint32_t* lo = std::lower_bound(row_begin, row_end, col_begin);
-    if constexpr (Vals::kRowConstantWeight) {
-      if (lo == row_end || *lo >= col_end) continue;
-      const V w = vals.Row(r);
-      for (size_t b = 0; b < num_vectors; ++b) p[b] = w * xr[b];
-      for (const uint32_t* it = lo; it != row_end && *it < col_end; ++it) {
-        V* __restrict yr = y.RowPtr(*it);
-        for (size_t b = 0; b < num_vectors; ++b) yr[b] += p[b];
-      }
-    } else {
-      for (const uint32_t* it = lo; it != row_end && *it < col_end; ++it) {
-        const V w = vals.Edge(static_cast<uint64_t>(it - indices));
-        V* __restrict yr = y.RowPtr(*it);
-        for (size_t b = 0; b < num_vectors; ++b) yr[b] += w * xr[b];
-      }
-    }
-  }
-}
-
 }  // namespace
 
 template <typename V>
@@ -623,72 +542,6 @@ bool CsrMatrixT<V>::SpMmTransposeFrontier(const DenseBlockT<V>& x,
   });
   std::sort(next_frontier.begin(), next_frontier.end());
   return true;
-}
-
-template <typename V>
-std::vector<uint32_t> CsrMatrixT<V>::NnzBalancedColumnRanges(
-    size_t num_parts) const {
-  num_parts = std::max<size_t>(1, num_parts);
-  std::vector<uint64_t> col_nnz(cols(), 0);
-  for (uint32_t c : structure_.col_indices) ++col_nnz[c];
-
-  std::vector<uint32_t> boundaries;
-  boundaries.reserve(num_parts + 1);
-  boundaries.push_back(0);
-  const uint64_t total = nnz();
-  uint64_t seen = 0;
-  for (uint32_t c = 0; c < cols() && boundaries.size() < num_parts; ++c) {
-    seen += col_nnz[c];
-    // Cut after column c once this part has its proportional share.
-    if (seen * num_parts >= total * boundaries.size()) {
-      boundaries.push_back(c + 1);
-    }
-  }
-  while (boundaries.size() <= num_parts) boundaries.push_back(cols());
-  boundaries.back() = cols();
-  return boundaries;
-}
-
-template <typename V>
-void CsrMatrixT<V>::SpMmTransposeRange(const DenseBlockT<V>& x,
-                                       DenseBlockT<V>& y, uint32_t col_begin,
-                                       uint32_t col_end) const {
-  TPA_DCHECK(x.rows() == rows());
-  TPA_DCHECK(y.rows() == cols());
-  TPA_DCHECK(y.num_vectors() == x.num_vectors());
-  TPA_DCHECK(col_begin <= col_end && col_end <= cols());
-  ZeroBlockRows(y, col_begin, col_end);
-  if (rows() == 0) return;
-  const size_t num_vectors = x.num_vectors();
-  const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
-  DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    DispatchWidth(
-        num_vectors,
-        [&]<size_t kWidth>() {
-          SpMmTransposeRangeRows<kWidth>(offsets, indices, vals, rows(), x, y,
-                                         col_begin, col_end);
-        },
-        [&] {
-          SpMmTransposeRangeRowsGeneric(offsets, indices, vals, rows(),
-                                        num_vectors, x, y, col_begin, col_end);
-        });
-  });
-}
-
-template <typename V>
-void CsrMatrixT<V>::SpMmTransposeParallel(const DenseBlockT<V>& x,
-                                          DenseBlockT<V>& y,
-                                          std::span<const uint32_t> boundaries,
-                                          TaskRunner& runner) const {
-  TPA_DCHECK(x.rows() == rows());
-  TPA_CHECK_GE(boundaries.size(), 2u);
-  TPA_CHECK_EQ(boundaries.front(), 0u);
-  TPA_CHECK_EQ(boundaries.back(), cols());
-  y.Resize(cols(), x.num_vectors());
-  runner.ParallelFor(boundaries.size() - 1, [&](size_t p) {
-    SpMmTransposeRange(x, y, boundaries[p], boundaries[p + 1]);
-  });
 }
 
 template <typename V>

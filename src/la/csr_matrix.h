@@ -10,7 +10,6 @@
 #include "la/dense_block.h"
 #include "la/precision.h"
 #include "la/shared_array.h"
-#include "la/task_runner.h"
 #include "util/status.h"
 
 namespace tpa::la {
@@ -62,22 +61,22 @@ struct CsrStructure {
   size_t nnz() const { return col_indices.size(); }
 };
 
-/// Validates and adopts the arrays into a shareable structure.  row_offsets
-/// must have rows+1 monotone entries with row_offsets[rows] ==
-/// col_indices.size(); column indices must be < cols.  CHECK-fails otherwise
-/// (programming error: callers construct from already-validated arrays).
+/// The structural invariants a CSR offsets/indices pair must hold before a
+/// kernel indexes with it: row_offsets has rows+1 entries, starts at 0, is
+/// monotone and ends at col_indices.size(); every column index is < cols.
+/// The one check shared by MakeCsrStructure, the snapshot loader and the
+/// TPACSR reopen path — a violation comes back as InvalidArgument naming
+/// the offending entry.
+Status CheckCsrArrays(uint64_t rows, uint64_t cols,
+                      std::span<const uint64_t> row_offsets,
+                      std::span<const uint32_t> col_indices);
+
+/// Validates (CheckCsrArrays) and adopts the arrays into a shareable
+/// structure.  CHECK-fails on a violation (programming error: callers
+/// construct from already-validated arrays).
 CsrStructure MakeCsrStructure(uint32_t rows, uint32_t cols,
                               std::vector<uint64_t> row_offsets,
                               std::vector<uint32_t> col_indices);
-
-/// Status-returning twin of MakeCsrStructure for arrays that come from
-/// untrusted arithmetic rather than an already-validated build — e.g. edge
-/// counts near the uint32 node / uint64 nnz limits.  Malformed input comes
-/// back as InvalidArgument naming the offending row and count instead of a
-/// CHECK abort.
-StatusOr<CsrStructure> MakeCsrStructureChecked(
-    uint32_t rows, uint32_t cols, std::vector<uint64_t> row_offsets,
-    std::vector<uint32_t> col_indices);
 
 /// Bytes of the index structure alone (offsets + indices).
 size_t CsrStructureBytes(const CsrStructure& structure);
@@ -232,32 +231,6 @@ class CsrMatrixT {
                              double density_threshold, DenseBlockT<V>& y,
                              std::vector<uint32_t>& next_frontier,
                              FrontierScratch& scratch) const;
-
-  /// Destination-balanced partition of [0, cols()) for the parallel scatter
-  /// kernels: num_parts+1 ascending boundaries splitting the columns so each
-  /// part receives roughly nnz/num_parts incoming edges (hub destinations
-  /// are what skew a naive equal-width split).  Costs one O(nnz) counting
-  /// sweep — callers cache the result per (matrix, num_parts).
-  std::vector<uint32_t> NnzBalancedColumnRanges(size_t num_parts) const;
-
-  /// Partial block scatter restricted to destinations in [col_begin,
-  /// col_end): zeroes that slice of y, then accumulates every edge whose
-  /// column falls in the range, rows ascending.  Per destination this
-  /// reproduces the full kernel's accumulation order bitwise, so disjoint
-  /// ranges covering [0, cols()) compose to exactly SpMmTranspose.  y must be
-  /// cols() × B.  Relies on column indices being sorted within each row
-  /// (binary search for the row's sub-range).
-  void SpMmTransposeRange(const DenseBlockT<V>& x, DenseBlockT<V>& y,
-                          uint32_t col_begin, uint32_t col_end) const;
-
-  /// Parallel Y = A^T X: dispatches SpMmTransposeRange over the destination
-  /// partition `boundaries` (from NnzBalancedColumnRanges) on `runner`.
-  /// Each destination is owned by exactly one range, so the result is
-  /// deterministic and, per vector, bitwise-identical to the sequential
-  /// SpMmTranspose regardless of scheduling.  y is resized first.
-  void SpMmTransposeParallel(const DenseBlockT<V>& x, DenseBlockT<V>& y,
-                             std::span<const uint32_t> boundaries,
-                             TaskRunner& runner) const;
 
   /// Logical storage bytes: StructureBytes() + ValueBytes().  When several
   /// matrices alias one structure, each reports the full structure — use

@@ -82,8 +82,7 @@ struct MetaSection {
   uint32_t has_fp32;
   uint32_t has_permutation;
   uint32_t pad0;
-  // TpaOptions of the preprocessed state (task_runner excluded — a process-
-  // local pointer the engine re-wires after load).
+  // TpaOptions of the preprocessed state.
   double restart_probability;
   double tolerance;
   int32_t family_window;

@@ -100,29 +100,13 @@ std::vector<SectionDesc> ExpectedSections(const MetaSection& meta) {
   return expected;
 }
 
-/// Structural invariants of a CSR offsets/indices pair, checked in Status
-/// land so a corrupt file can never reach the CHECK-ing constructors or the
-/// kernels' unchecked indexing.
-Status CheckCsrArrays(const uint64_t* offsets, uint64_t n,
-                      const uint32_t* indices, uint64_t m,
-                      const std::string& path, const std::string& which) {
-  if (offsets[0] != 0) {
-    return CorruptError(path, which + " offsets do not start at 0");
-  }
-  for (uint64_t i = 0; i < n; ++i) {
-    if (offsets[i + 1] < offsets[i]) {
-      return CorruptError(path, which + " offsets are not monotone");
-    }
-  }
-  if (offsets[n] != m) {
-    return CorruptError(path,
-                        which + " offsets do not end at the edge count");
-  }
-  for (uint64_t e = 0; e < m; ++e) {
-    if (indices[e] >= n) {
-      return CorruptError(path, which + " indices reference nodes >= n");
-    }
-  }
+/// la::CheckCsrArrays over one mapped direction, so a corrupt file can never
+/// reach the CHECK-ing constructors or the kernels' unchecked indexing.
+Status CheckCsrDirection(const uint64_t* offsets, uint64_t n,
+                         const uint32_t* indices, uint64_t m,
+                         const std::string& path, const std::string& which) {
+  const Status valid = la::CheckCsrArrays(n, n, {offsets, n + 1}, {indices, m});
+  if (!valid.ok()) return CorruptError(path, which + ": " + valid.message());
   return OkStatus();
 }
 
@@ -274,9 +258,9 @@ StatusOr<ParsedSnapshot> ParseSnapshot(const std::string& path,
   const auto* in_indices = reinterpret_cast<const uint32_t*>(
       parsed.Payload(*parsed.Find(SectionId::kInIndices)));
   TPA_RETURN_IF_ERROR(
-      CheckCsrArrays(out_offsets, n, out_indices, m, path, "out-CSR"));
+      CheckCsrDirection(out_offsets, n, out_indices, m, path, "out-CSR"));
   TPA_RETURN_IF_ERROR(
-      CheckCsrArrays(in_offsets, n, in_indices, m, path, "in-CSR"));
+      CheckCsrDirection(in_offsets, n, in_indices, m, path, "in-CSR"));
   TPA_RETURN_IF_ERROR(CheckNodePermutation(
       reinterpret_cast<const uint32_t*>(
           parsed.Payload(*parsed.Find(SectionId::kStrangerOrder))),

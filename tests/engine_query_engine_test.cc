@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <latch>
 #include <memory>
 #include <string>
 #include <utility>
@@ -487,31 +486,13 @@ TEST(QueryEngineTest, ReorderedGraphServesOriginalNodeIds) {
   }
 }
 
-TEST(ThreadPoolTest, ParallelForRunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> counts(64);
-  pool.ParallelFor(64, [&](size_t i) { counts[i].fetch_add(1); });
-  for (size_t i = 0; i < counts.size(); ++i) {
-    EXPECT_EQ(counts[i].load(), 1) << "task " << i;
+TEST(ThreadPoolTest, DestructorDrainsEverySubmittedJob) {
+  std::atomic<int> ran{0};
+  {
+    ThreadPool pool(2);
+    for (int j = 0; j < 64; ++j) pool.Submit([&] { ran.fetch_add(1); });
   }
-  pool.ParallelFor(0, [&](size_t) { FAIL() << "no tasks expected"; });
-}
-
-TEST(ThreadPoolTest, NestedParallelForDoesNotDeadlock) {
-  // Saturate the pool with jobs that each fork their own ParallelFor —
-  // the caller-participation guarantee must keep everything moving even
-  // though no worker is free to help.
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  std::latch done(4);
-  for (int j = 0; j < 4; ++j) {
-    pool.Submit([&] {
-      pool.ParallelFor(8, [&](size_t) { total.fetch_add(1); });
-      done.count_down();
-    });
-  }
-  done.wait();
-  EXPECT_EQ(total.load(), 32);
+  EXPECT_EQ(ran.load(), 64);
 }
 
 TEST(TopKScoresTest, ClampsAndBreaksTies) {

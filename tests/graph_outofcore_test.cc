@@ -7,9 +7,12 @@
 #include "graph/out_of_core.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <functional>
 #include <iterator>
 #include <string>
 #include <utility>
@@ -27,8 +30,7 @@ namespace {
 class OutOfCoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    prefix_ = ::testing::TempDir() + "/ooc_" +
-              std::to_string(reinterpret_cast<uintptr_t>(this));
+    prefix_ = ::testing::TempDir() + "/ooc_" + std::to_string(::getpid());
   }
   void TearDown() override {
     for (const std::string& suffix :
@@ -250,6 +252,99 @@ TEST_F(OutOfCoreTest, ReopenRejectsCorruptHeaders) {
   }
   EXPECT_FALSE(OpenOutOfCoreGraph(CsrPath()).ok());
   EXPECT_FALSE(OpenOutOfCoreGraph(CsrPath() + ".missing").ok());
+}
+
+/// A valid fp32 TPACSR file at CsrPath() with one corruption applied to
+/// its bytes, reopened.  TPACSR has no checksum, so only the structural
+/// checks on open stand between a flipped index and a wild kernel access.
+class OutOfCoreCorruptionTest : public OutOfCoreTest {
+ protected:
+  /// Byte offsets of the arrays, mirroring the writer's layout: a 64-byte
+  /// header, then out-offsets, out-indices, in-offsets and in-indices,
+  /// each 64-byte aligned.
+  struct Layout {
+    uint64_t n = 0;
+    uint64_t m = 0;
+    uint64_t out_offsets = 0;
+    uint64_t out_indices = 0;
+    uint64_t in_offsets = 0;
+    uint64_t in_indices = 0;
+  };
+
+  template <typename T>
+  static void Poke(std::string& bytes, uint64_t at, T value) {
+    std::memcpy(bytes.data() + at, &value, sizeof(value));
+  }
+
+  Status OpenCorrupted(
+      const std::function<void(std::string&, const Layout&)>& corrupt) {
+    RmatOptions rmat;
+    rmat.scale = 8;
+    rmat.edges = 1u << 11;
+    OutOfCoreOptions ooc_options;
+    ooc_options.csr_path = CsrPath();
+    ooc_options.build.value_precision = la::Precision::kFloat32;
+    EXPECT_TRUE(GenerateRmatOutOfCore(rmat, std::move(ooc_options)).ok());
+    EXPECT_TRUE(OpenOutOfCoreGraph(CsrPath()).ok());  // valid before
+
+    std::string bytes = FileBytes(CsrPath());
+    Layout layout;
+    std::memcpy(&layout.n, bytes.data() + 16, sizeof(uint64_t));
+    std::memcpy(&layout.m, bytes.data() + 24, sizeof(uint64_t));
+    auto align = [](uint64_t at) { return (at + 63) / 64 * 64; };
+    layout.out_offsets = 64;
+    layout.out_indices = align(layout.out_offsets + (layout.n + 1) * 8);
+    layout.in_offsets = align(layout.out_indices + layout.m * 4);
+    layout.in_indices = align(layout.in_offsets + (layout.n + 1) * 8);
+    corrupt(bytes, layout);
+    std::ofstream(CsrPath(), std::ios::binary | std::ios::trunc) << bytes;
+    return OpenOutOfCoreGraph(CsrPath()).status();
+  }
+};
+
+TEST_F(OutOfCoreCorruptionTest, RejectsOutIndexPastNodeCount) {
+  const Status status = OpenCorrupted([](std::string& bytes, const Layout& l) {
+    Poke(bytes, l.out_indices, static_cast<uint32_t>(l.n));
+  });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+}
+
+TEST_F(OutOfCoreCorruptionTest, RejectsInIndexPastNodeCount) {
+  const Status status = OpenCorrupted([](std::string& bytes, const Layout& l) {
+    Poke(bytes, l.in_indices + 4 * (l.m - 1), uint32_t{0x7fffffff});
+  });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+}
+
+TEST_F(OutOfCoreCorruptionTest, RejectsNonMonotoneOutOffsets) {
+  const Status status = OpenCorrupted([](std::string& bytes, const Layout& l) {
+    Poke(bytes, l.out_offsets + 8, l.m + 1);  // row 0 ends past row 1
+  });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+}
+
+TEST_F(OutOfCoreCorruptionTest, RejectsUnknownPrecision) {
+  // The file was written at fp32, so file_bytes already matches the layout
+  // an unknown precision falls back to; only the enum check catches it.
+  const Status status = OpenCorrupted([](std::string& bytes, const Layout&) {
+    Poke(bytes, 32, uint32_t{7});  // OocHeader::precision
+  });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+}
+
+TEST_F(OutOfCoreCorruptionTest, RejectsEdgeCountTheFileCannotHold) {
+  // m + 2^62 edges: every m·4 array size wraps modulo 2^64 back onto the
+  // real one, so file_bytes still matches the layout; with the last
+  // out-offset moved along, only a bound on the count keeps the index scan
+  // from running m + 2^62 entries past the start of the mapped indices.
+  const Status status = OpenCorrupted([](std::string& bytes, const Layout& l) {
+    const uint64_t huge = l.m + (uint64_t{1} << 62);
+    Poke(bytes, 24, huge);  // OocHeader::num_edges
+    Poke(bytes, l.out_offsets + 8 * l.n, huge);
+  });
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("edge count"), std::string::npos)
+      << status;
 }
 
 TEST_F(OutOfCoreTest, LocalityOrderingsAreUnimplemented) {

@@ -146,45 +146,41 @@ TEST(CsrGraphTest, SpMvPreservesMassOnNonDanglingGraph) {
   EXPECT_NEAR(la::NormL1(y), 1.0, 1e-12);
 }
 
-// MakeCsrStructureChecked is the Status-returning twin of MakeCsrStructure
-// for arrays from untrusted arithmetic: every structural invariant failure
-// must come back as InvalidArgument, and a valid input must assemble the
-// same structure the CHECK-based constructor would.
-TEST(MakeCsrStructureCheckedTest, AcceptsAValidStructure) {
-  auto csr = la::MakeCsrStructureChecked(3, 3, {0, 2, 2, 3}, {1, 2, 0});
-  ASSERT_TRUE(csr.ok()) << csr.status();
-  EXPECT_EQ(csr->rows, 3u);
-  EXPECT_EQ(csr->cols, 3u);
-  EXPECT_EQ(csr->nnz(), 3u);
-  EXPECT_EQ(csr->row_offsets[1], 2u);
+// CheckCsrArrays is the one Status-returning structural check every CSR
+// loader shares: each broken invariant must come back as InvalidArgument,
+// and a valid input must pass and assemble through MakeCsrStructure.
+TEST(CheckCsrArraysTest, AcceptsAValidStructure) {
+  const std::vector<uint64_t> offsets = {0, 2, 2, 3};
+  const std::vector<uint32_t> indices = {1, 2, 0};
+  EXPECT_TRUE(la::CheckCsrArrays(3, 3, offsets, indices).ok());
+  const la::CsrStructure csr = la::MakeCsrStructure(3, 3, offsets, indices);
+  EXPECT_EQ(csr.rows, 3u);
+  EXPECT_EQ(csr.cols, 3u);
+  EXPECT_EQ(csr.nnz(), 3u);
+  EXPECT_EQ(csr.row_offsets[1], 2u);
 }
 
-TEST(MakeCsrStructureCheckedTest, AcceptsAnEmptyMatrix) {
-  auto csr = la::MakeCsrStructureChecked(2, 2, {0, 0, 0}, {});
-  ASSERT_TRUE(csr.ok()) << csr.status();
-  EXPECT_EQ(csr->nnz(), 0u);
+TEST(CheckCsrArraysTest, AcceptsAnEmptyMatrix) {
+  const std::vector<uint64_t> offsets = {0, 0, 0};
+  EXPECT_TRUE(la::CheckCsrArrays(2, 2, offsets, {}).ok());
+  EXPECT_EQ(la::MakeCsrStructure(2, 2, offsets, {}).nnz(), 0u);
 }
 
-TEST(MakeCsrStructureCheckedTest, RejectsEveryBrokenInvariant) {
+TEST(CheckCsrArraysTest, RejectsEveryBrokenInvariant) {
+  auto code = [](uint32_t rows, uint32_t cols, std::vector<uint64_t> offsets,
+                 std::vector<uint32_t> indices) {
+    return la::CheckCsrArrays(rows, cols, offsets, indices).code();
+  };
   // Offsets array has the wrong length for the row count.
-  EXPECT_EQ(la::MakeCsrStructureChecked(3, 3, {0, 1, 1}, {0}).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(3, 3, {0, 1, 1}, {0}), StatusCode::kInvalidArgument);
   // First offset must be zero.
-  EXPECT_EQ(
-      la::MakeCsrStructureChecked(2, 2, {1, 1, 1}, {0}).status().code(),
-      StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(2, 2, {1, 1, 1}, {0}), StatusCode::kInvalidArgument);
   // Last offset must equal the index count.
-  EXPECT_EQ(
-      la::MakeCsrStructureChecked(2, 2, {0, 1, 3}, {0, 1}).status().code(),
-      StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(2, 2, {0, 1, 3}, {0, 1}), StatusCode::kInvalidArgument);
   // Offsets must be monotone.
-  EXPECT_EQ(
-      la::MakeCsrStructureChecked(2, 2, {0, 2, 1}, {0}).status().code(),
-      StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(2, 2, {0, 2, 1}, {0}), StatusCode::kInvalidArgument);
   // Column indices must be inside [0, cols).
-  EXPECT_EQ(
-      la::MakeCsrStructureChecked(2, 2, {0, 1, 2}, {0, 2}).status().code(),
-      StatusCode::kInvalidArgument);
+  EXPECT_EQ(code(2, 2, {0, 1, 2}, {0, 2}), StatusCode::kInvalidArgument);
 }
 
 }  // namespace

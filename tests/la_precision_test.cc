@@ -1,5 +1,5 @@
 /// fp32 precision-tier kernel coverage: every CsrMatrixF scatter flavor —
-/// scalar, block, frontier, range — pinned bitwise against a reference loop
+/// scalar, block, frontier — pinned bitwise against a reference loop
 /// that spells out the arithmetic contract (one fp32 rounding per product
 /// and per update), on adversarial CSRs with empty rows.  Plus the
 /// Graph-level tier plumbing: fp32 materialization, byte accounting,
@@ -71,9 +71,7 @@ std::vector<uint32_t> FullFrontier(size_t rows) {
 /// Pins every fp32 kernel flavor on one matrix, bitwise:
 ///  * SpMvTranspose against the reference loop,
 ///  * SpMmTranspose per vector against the scalar kernel,
-///  * the frontier scatters against their dense counterparts,
-///  * the block range scatter composed over a split of [0, cols) against
-///    the full scatter.
+///  * the frontier scatters against their dense counterparts.
 void CheckPrecisionKernels(const la::CsrMatrixF& a, uint64_t seed,
                            const std::string& label) {
   const std::vector<float> x_rows = RandomVector(a.rows(), seed + 1);
@@ -137,21 +135,6 @@ void CheckPrecisionKernels(const la::CsrMatrixF& a, uint64_t seed,
         ExpectBitwiseEq(frontier_y.ExtractVector(b),
                         scatter_y.ExtractVector(b),
                         label + " SpMmTransposeFrontier width " +
-                            std::to_string(width) + " vector " +
-                            std::to_string(b));
-      }
-    }
-
-    // Block range composition: two asymmetric ranges composing [0, cols)
-    // must match the full scatter bitwise.
-    if (a.cols() > 1) {
-      la::DenseBlockF range_y(a.cols(), width);
-      const uint32_t mid = a.cols() / 3 + 1;
-      a.SpMmTransposeRange(scatter_x, range_y, 0, mid);
-      a.SpMmTransposeRange(scatter_x, range_y, mid, a.cols());
-      for (size_t b = 0; b < width; ++b) {
-        ExpectBitwiseEq(range_y.ExtractVector(b), scatter_y.ExtractVector(b),
-                        label + " SpMmTransposeRange width " +
                             std::to_string(width) + " vector " +
                             std::to_string(b));
       }

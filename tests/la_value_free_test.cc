@@ -15,7 +15,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/thread_pool.h"
 #include "graph/builder.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
@@ -75,8 +74,7 @@ la::CsrMatrixT<V> ExplicitTwin(const la::CsrMatrixT<V>& a) {
 
 /// Runs the full kernel family on `vf` and its explicit twin and asserts
 /// bitwise-identical outputs: SpMvTranspose, SpMmTranspose at specialized
-/// and generic widths, the frontier head, and the range/parallel scatter
-/// drivers.
+/// and generic widths, and the frontier head.
 template <typename V>
 void CheckValueFreeBitwise(const la::CsrMatrixT<V>& vf, uint64_t seed,
                            const std::string& label) {
@@ -124,35 +122,6 @@ void CheckValueFreeBitwise(const la::CsrMatrixT<V>& vf, uint64_t seed,
     ASSERT_EQ(sparse_vf, sparse_ex) << label;
     ExpectBitwiseEq(sy_vf, sy_ex, label + " SpMvTransposeFrontier");
     EXPECT_EQ(next_vf, next_ex) << label;
-  }
-
-  // Range scatter on a width-1 block: thirds of the destination space
-  // compose to the full kernel; each range must agree across modes.
-  la::DenseBlockT<V> bx(vf.rows(), 1);
-  bx.SetVector(0, x_rows);
-  {
-    la::DenseBlockT<V> ry_vf(vf.cols(), 1), ry_ex(vf.cols(), 1);
-    const uint32_t third = vf.cols() / 3;
-    const std::vector<std::pair<uint32_t, uint32_t>> ranges = {
-        {0, third}, {third, 2 * third}, {2 * third, vf.cols()}};
-    for (const auto& [begin, end] : ranges) {
-      vf.SpMmTransposeRange(bx, ry_vf, begin, end);
-      ex.SpMmTransposeRange(bx, ry_ex, begin, end);
-    }
-    ExpectBitwiseEq(ry_vf, ry_ex, label + " SpMmTransposeRange");
-    ex.SpMvTranspose(x_rows, y_ex);
-    ExpectBitwiseEq(ry_vf.ExtractVector(0), y_ex,
-                    label + " range composition");
-  }
-
-  // Parallel scatter driver over an nnz-balanced partition.
-  {
-    ThreadPool pool(2);
-    const std::vector<uint32_t> boundaries = vf.NnzBalancedColumnRanges(2);
-    la::DenseBlockT<V> py_vf, py_ex;
-    vf.SpMmTransposeParallel(bx, py_vf, boundaries, pool);
-    ex.SpMmTransposeParallel(bx, py_ex, boundaries, pool);
-    ExpectBitwiseEq(py_vf, py_ex, label + " SpMmTransposeParallel");
   }
 }
 
@@ -375,11 +344,6 @@ TEST(ValueFreeGraphTest, RematerializeSharesStructureAndPermutation) {
   EXPECT_EQ(sibling.TransitionF().structure().col_indices.data(),
             graph->Transition().structure().col_indices.data());
   EXPECT_EQ(sibling.permutation(), graph->permutation());
-  // Partition caches are shared too: a partition computed through one graph
-  // is visible through the other (same boundary data).
-  const auto boundaries = graph->OutColumnPartition(4);
-  const auto sibling_boundaries = sibling.OutColumnPartition(4);
-  EXPECT_EQ(boundaries.data(), sibling_boundaries.data());
 
   // The fp32 sibling's weights are the fp64 weights rounded once — spot
   // check through the mode-agnostic oracle.

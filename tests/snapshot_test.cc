@@ -10,6 +10,7 @@
 #include "snapshot/snapshot.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
@@ -57,7 +58,7 @@ class SnapshotTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "/snapshot_test_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".tpasnap";
+            std::to_string(::getpid()) + ".tpasnap";
   }
   void TearDown() override {
     DisarmAllFailpoints();

@@ -6,6 +6,7 @@
 #include "util/mem_stats.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
@@ -41,7 +42,7 @@ class ResidentStewardTest : public ::testing::Test {
  protected:
   void SetUp() override {
     path_ = ::testing::TempDir() + "/steward_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".bin";
+            std::to_string(::getpid()) + ".bin";
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
