@@ -203,7 +203,7 @@ struct NullObserver {
 template <typename V>
 void RecordAbort(QueryContext& context, StatusCode code, int i,
                  const CpiOptions& options, Cpi::ResultT<V>& result) {
-  const double bound = CpiRemainingMassBound(
+  const double bound = CpiRemainingMassBound<V>(
       result.last_interim_norm, options.restart_probability,
       options.tolerance, i, options.terminal_iteration);
   result.abort_code = code;
@@ -421,9 +421,8 @@ class TopKTracker {
  private:
   /// Most any node's merged score can still gain after iteration i with
   /// interim norm `norm`: the geometric tail over the iterations the window
-  /// can still accumulate, through the merge's post-scale, plus an absolute
-  /// slop covering the merge's own rounding (a few fp64 ulps of unit-scale
-  /// scores; fp32 storage rounds at ~1e-7 of value, covered by 1e-5).
+  /// can still accumulate, through the merge's post-scale, plus
+  /// kCpiRoundingSlop<V> covering the merge's own rounding.
   double Slack(double norm, int i) const {
     int left = terminal_ == CpiOptions::kUnbounded
                    ? std::numeric_limits<int>::max()
@@ -434,9 +433,8 @@ class TopKTracker {
     const double ratio = std::log(tolerance_ / norm) / std::log(decay_);
     const int horizon = static_cast<int>(std::floor(ratio)) + 1;
     left = std::min(left, std::max(horizon, 0));
-    constexpr double kSlop = std::is_same_v<V, double> ? 1e-14 : 1e-5;
     return base_.post_scale * la::GeometricTailMass(norm, decay_, left) +
-           kSlop;
+           kCpiRoundingSlop<V>;
   }
 
   /// Merged value of a touched node — matches la::Scale(post_scale, ·) then
@@ -532,6 +530,7 @@ int CpiIterationCount(double restart_probability, double tolerance) {
       std::ceil(std::log(tolerance / c) / std::log(1.0 - c)));
 }
 
+template <typename V>
 double CpiRemainingMassBound(double last_interim_norm,
                              double restart_probability, double tolerance,
                              int last_iteration, int terminal_iteration) {
@@ -547,8 +546,14 @@ double CpiRemainingMassBound(double last_interim_norm,
       std::log(tolerance / last_interim_norm) / std::log(decay);
   const int horizon = static_cast<int>(std::floor(ratio)) + 1;
   left = std::min(left, std::max(horizon, 0));
-  return la::GeometricTailMass(last_interim_norm, decay, left);
+  return la::GeometricTailMass(last_interim_norm, decay, left) +
+         kCpiRoundingSlop<V>;
 }
+
+template double CpiRemainingMassBound<double>(double, double, double, int,
+                                              int);
+template double CpiRemainingMassBound<float>(double, double, double, int,
+                                             int);
 
 template <typename V>
 StatusOr<Cpi::ResultT<V>> Cpi::RunT(const Graph& graph,
@@ -641,7 +646,7 @@ StatusOr<la::DenseBlockT<V>> Cpi::RunBatchT(
       if (i < context->min_iterations) continue;
       const StatusCode code = context->AbortNow();
       if (code == StatusCode::kOk) continue;
-      const double bound = CpiRemainingMassBound(
+      const double bound = CpiRemainingMassBound<V>(
           norms[b], options.restart_probability, options.tolerance, i,
           options.terminal_iteration);
       context->aborted = true;

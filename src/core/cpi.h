@@ -3,6 +3,7 @@
 
 #include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "graph/graph.h"
@@ -256,10 +257,21 @@ int CpiIterationCount(double restart_probability, double tolerance);
 /// have accumulated, where `left` is capped by both the terminal iteration
 /// and the convergence horizon floor(log(ε/norm)/log(1-c)) + 1 — the same
 /// tail the bound-driven top-k certification uses.  0 when the norm is
-/// already below tolerance (the run had converged).
+/// already below tolerance (the run had converged).  Otherwise the tail
+/// carries kCpiRoundingSlop<V> on top, since the partial and the converged
+/// vector are both rounded to tier V.
+template <typename V>
 double CpiRemainingMassBound(double last_interim_norm,
                              double restart_probability, double tolerance,
                              int last_iteration, int terminal_iteration);
+
+/// Absolute allowance a certified CPI bound adds for tier-V rounding of
+/// unit-mass scores: a few fp64 ulps, while fp32 storage rounds at ~1e-7
+/// of value per step, covered by 1e-5.  Shared by the abort error bound and
+/// the top-k certification slack.
+template <typename V>
+inline constexpr double kCpiRoundingSlop =
+    std::is_same_v<V, double> ? 1e-14 : 1e-5;
 
 /// Validates restart probability and tolerance; shared by CPI and TPA.
 Status ValidateCpiParameters(double restart_probability, double tolerance);

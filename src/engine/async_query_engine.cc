@@ -49,13 +49,14 @@ struct TicketState {
   QueryTicket::State state = QueryTicket::State::kQueued;
   QueryResult result;
   std::function<void(const QueryResult&)> on_complete;
-  std::chrono::steady_clock::time_point deadline{};
-  bool has_deadline = false;
-  /// Set by Cancel once serving has begun; the serving job wires it into
-  /// the query's cooperative context, so iteration-shaped methods observe
-  /// it at the next propagation-iteration boundary.  Relaxed is enough:
-  /// the flag is monotonic and carries no dependent data.
+  /// Set by Cancel once serving has begun; wired into `context`, so
+  /// iteration-shaped methods observe it at the next propagation-iteration
+  /// boundary.  Relaxed is enough: the flag is monotonic and carries no
+  /// dependent data.
   std::atomic<bool> cancel_requested{false};
+  /// The cooperative context the ticket is served under: its deadline and
+  /// cancel flag from Submit, the degradation contract from the dispatch.
+  QueryContext context;
   /// The queue this ticket was admitted to; dead once the engine is gone.
   std::weak_ptr<AdmissionState> admission;
   /// Position in AdmissionState::queue while admitted.  Both fields are
@@ -181,11 +182,6 @@ AsyncQueryEngine::AsyncQueryEngine(QueryEngine engine,
       shed_graph_(std::move(shed_graph)),
       shed_engine_(std::move(shed_engine)),
       admission_(std::make_shared<AdmissionState>()) {
-  const bool group_serving = engine_.options().batch_block_size > 1 &&
-                             engine_.method().SupportsBatchQuery();
-  chunk_limit_ = group_serving
-                     ? static_cast<size_t>(engine_.options().batch_block_size)
-                     : 1;
   max_inflight_ =
       options_.max_inflight_jobs > 0
           ? static_cast<size_t>(options_.max_inflight_jobs)
@@ -195,7 +191,15 @@ AsyncQueryEngine::AsyncQueryEngine(QueryEngine engine,
 
 AsyncQueryEngine::~AsyncQueryEngine() { Shutdown(); }
 
-Status AsyncQueryEngine::ValidatePolicy(const DegradationPolicy& policy) {
+Status AsyncQueryEngine::ValidateOptions(
+    const AsyncQueryEngineOptions& options) {
+  if (options.queue_capacity < 1) {
+    return InvalidArgumentError("queue_capacity must be at least 1");
+  }
+  if (options.max_inflight_jobs < 0) {
+    return InvalidArgumentError("max_inflight_jobs must be non-negative");
+  }
+  const DegradationPolicy& policy = options.degradation;
   if (!policy.enabled) {
     if (policy.shed_to_fp32) {
       return InvalidArgumentError("shed_to_fp32 requires degradation.enabled");
@@ -215,13 +219,7 @@ StatusOr<std::unique_ptr<AsyncQueryEngine>> AsyncQueryEngine::Create(
     const Graph& graph, std::unique_ptr<RwrMethod> method,
     const QueryEngineOptions& engine_options,
     const AsyncQueryEngineOptions& async_options) {
-  if (async_options.queue_capacity < 1) {
-    return InvalidArgumentError("queue_capacity must be at least 1");
-  }
-  if (async_options.max_inflight_jobs < 0) {
-    return InvalidArgumentError("max_inflight_jobs must be non-negative");
-  }
-  TPA_RETURN_IF_ERROR(ValidatePolicy(async_options.degradation));
+  TPA_RETURN_IF_ERROR(ValidateOptions(async_options));
   if (async_options.degradation.shed_to_fp32) {
     // The shed tier needs a second instance of the method over the fp32
     // graph; only the registry can manufacture one.
@@ -251,13 +249,7 @@ AsyncQueryEngine::CreateFromRegistry(
     return Create(graph, std::move(method), engine_options, async_options);
   }
 
-  if (async_options.queue_capacity < 1) {
-    return InvalidArgumentError("queue_capacity must be at least 1");
-  }
-  if (async_options.max_inflight_jobs < 0) {
-    return InvalidArgumentError("max_inflight_jobs must be non-negative");
-  }
-  TPA_RETURN_IF_ERROR(ValidatePolicy(async_options.degradation));
+  TPA_RETURN_IF_ERROR(ValidateOptions(async_options));
   if (graph.value_precision() != la::Precision::kFloat64) {
     return InvalidArgumentError(
         "shed_to_fp32 requires an fp64 primary graph — an fp32 engine has "
@@ -299,10 +291,8 @@ QueryTicket AsyncQueryEngine::Submit(NodeId seed,
   state->result.seed = seed;
   state->on_complete = options.on_complete;
   state->admission = admission_;
-  if (options.deadline.has_value()) {
-    state->deadline = *options.deadline;
-    state->has_deadline = true;
-  }
+  state->context.deadline = options.deadline;
+  state->context.cancel = &state->cancel_requested;
   submitted_.fetch_add(1, std::memory_order_relaxed);
 
   // Everything past this point must survive the engine being destroyed
@@ -369,8 +359,9 @@ void AsyncQueryEngine::SchedulerLoop() {
     // Pop whatever is waiting, up to one SpMM group — arrivals that
     // accumulated while every job slot was busy coalesce here.
     std::vector<std::shared_ptr<TicketState>> chunk;
-    chunk.reserve(std::min(adm.queue.size(), chunk_limit_));
-    while (!adm.queue.empty() && chunk.size() < chunk_limit_) {
+    const size_t chunk_limit = engine_.group_width_;
+    chunk.reserve(std::min(adm.queue.size(), chunk_limit));
+    while (!adm.queue.empty() && chunk.size() < chunk_limit) {
       std::shared_ptr<TicketState>& front = adm.queue.front();
       front->in_queue = false;  // leaving the queue: Cancel must not unlink
       chunk.push_back(std::move(front));
@@ -404,17 +395,6 @@ bool AsyncQueryEngine::IsOverloaded(size_t queue_depth) const {
   return static_cast<double>(queue_depth) >= watermark;
 }
 
-void AsyncQueryEngine::RecordDeadlineOutcome(bool missed) {
-  constexpr double kAlpha = 0.05;
-  const double sample = missed ? 1.0 : 0.0;
-  double current = miss_ewma_.load(std::memory_order_relaxed);
-  double next = current + kAlpha * (sample - current);
-  while (!miss_ewma_.compare_exchange_weak(current, next,
-                                           std::memory_order_relaxed)) {
-    next = current + kAlpha * (sample - current);
-  }
-}
-
 void AsyncQueryEngine::ServeChunk(
     const std::vector<std::shared_ptr<TicketState>>& chunk, bool overloaded) {
   tls_on_serving_thread = true;
@@ -430,11 +410,11 @@ void AsyncQueryEngine::ServeChunk(
     }
     // A degrading dispatch never expires a ticket outright: a deadline
     // that already passed still buys a bounded partial answer below.
-    if (state->has_deadline && state->deadline <= now && !degrade) {
+    const auto& deadline = state->context.deadline;
+    if (deadline.has_value() && *deadline <= now && !degrade) {
       state->result.status =
           DeadlineExceededError("deadline expired before serving began");
       expired_.fetch_add(1, std::memory_order_relaxed);
-      RecordDeadlineOutcome(/*missed=*/true);
       Complete(*state, /*served=*/false);
       continue;
     }
@@ -463,108 +443,62 @@ void AsyncQueryEngine::ServeChunk(
     return;
   }
 
-  // Every served miss runs under a cooperative context: the ticket's
-  // deadline, its mid-run cancel flag, and — on a degrading dispatch — the
-  // policy's partial-answer contract.
-  const auto make_context = [&](TicketState& state) {
-    QueryContext context;
-    if (state.has_deadline) context.deadline = state.deadline;
-    context.cancel = &state.cancel_requested;
+  // Every ticket serves under its cooperative context, which a degrading
+  // dispatch extends with the policy's partial-answer contract.  In a
+  // group, an aborting ticket freezes out of the shared SpMM while the rest
+  // of the group converges normally.
+  std::vector<QueryEngine::Request> requests;
+  requests.reserve(runnable.size());
+  for (TicketState* state : runnable) {
     if (degrade) {
-      context.degrade_to_partial = true;
-      context.min_iterations = policy.min_iterations;
+      state->context.degrade_to_partial = true;
+      state->context.min_iterations = policy.min_iterations;
     }
-    return context;
-  };
-  // Post-serve accounting: abort/degrade counters and the deadline-miss
-  // EWMA (deadline-bearing tickets only — a miss is any outcome where the
-  // converged answer did not arrive in time).
-  const auto account = [&](const QueryContext& context, TicketState& state) {
-    const QueryResult& result = state.result;
+    requests.push_back({&state->result, &state->context});
+  }
+  const std::span<QueryEngine::Request> misses =
+      std::span(requests).first(engine_.Resolve(requests));
+  // An exact cached answer beats a shed one: only true misses pay the fp32
+  // tier, which computes them per seed (it never groups).
+  if (degrade && shed_engine_.has_value()) {
+    shed_engine_->Compute(misses);
+    for (const QueryEngine::Request& request : misses) {
+      request.result->shed_to_fp32 = true;
+    }
+  } else {
+    engine_.Compute(misses);
+  }
+
+  for (TicketState* state : runnable) {
+    const QueryResult& result = state->result;
     if (result.shed_to_fp32) shed_.fetch_add(1, std::memory_order_relaxed);
-    if (context.aborted) {
+    if (state->context.aborted) {
       (result.degraded ? degraded_ : aborted_)
           .fetch_add(1, std::memory_order_relaxed);
     }
-    if (state.has_deadline) {
-      const bool missed =
-          context.aborted
-              ? context.abort_code == StatusCode::kDeadlineExceeded
-              : result.status.code() == StatusCode::kDeadlineExceeded;
-      RecordDeadlineOutcome(missed);
-    }
-  };
-
-  const bool use_shed = degrade && shed_engine_.has_value();
-  const auto serve_one = [&](TicketState& state) {
-    QueryContext context = make_context(state);
-    QueryResult& result = state.result;
-    const NodeId seed = result.seed;
-    if (use_shed) {
-      if (seed >= engine_.graph_->num_nodes()) {
-        result.status = OutOfRangeError("seed node out of range");
-      } else if (!engine_.TryServeFromCache(seed, result)) {
-        // An exact cached answer beats a shed one; only true misses pay
-        // the fp32 tier.
-        shed_engine_->ServeInto(seed, result, &context);
-        result.shed_to_fp32 = true;
-      }
-    } else {
-      engine_.ServeInto(seed, result, &context);
-    }
-    account(context, state);
-    Complete(state, /*served=*/true);
-  };
-
-  // Shedding serves per-seed regardless of the primary engine's grouping:
-  // the shed tier is deliberately group-free (see CreateFromRegistry).
-  if (chunk_limit_ <= 1 || use_shed) {
-    for (TicketState* state : runnable) serve_one(*state);
-    return;
-  }
-
-  // Mirror QueryBatch's SpMM path: invalid and cached slots complete
-  // per-ticket, the remaining misses run as one multi-vector group — each
-  // miss under its own context, so one aborting ticket freezes out of the
-  // shared SpMM while the rest of the group converges normally.
-  std::vector<TicketState*> misses;
-  std::vector<NodeId> group;
-  for (TicketState* state : runnable) {
-    const NodeId seed = state->result.seed;
-    if (seed >= engine_.graph_->num_nodes()) {
-      state->result.status = OutOfRangeError("seed node out of range");
-      Complete(*state, /*served=*/true);
-      continue;
-    }
-    if (engine_.TryServeFromCache(seed, state->result)) {
-      if (state->has_deadline) RecordDeadlineOutcome(/*missed=*/false);
-      Complete(*state, /*served=*/true);
-      continue;
-    }
-    misses.push_back(state);
-    group.push_back(seed);
-  }
-  if (misses.empty()) return;
-  std::vector<QueryContext> contexts;
-  contexts.reserve(misses.size());
-  for (TicketState* state : misses) contexts.push_back(make_context(*state));
-  std::vector<QueryResult*> slots;
-  std::vector<QueryContext*> context_ptrs;
-  slots.reserve(misses.size());
-  context_ptrs.reserve(misses.size());
-  for (size_t k = 0; k < misses.size(); ++k) {
-    slots.push_back(&misses[k]->result);
-    context_ptrs.push_back(&contexts[k]);
-  }
-  engine_.ServeGroup(group, slots, context_ptrs);
-  for (size_t k = 0; k < misses.size(); ++k) {
-    account(contexts[k], *misses[k]);
-    Complete(*misses[k], /*served=*/true);
+    Complete(*state, /*served=*/true);
   }
 }
 
 void AsyncQueryEngine::Complete(TicketState& state, bool served) {
   if (served) completed_.fetch_add(1, std::memory_order_relaxed);
+  if (state.context.deadline.has_value()) {
+    // Deadline-miss EWMA: a miss is any outcome where the converged answer
+    // did not arrive in time — expiry, a deadline abort, or a
+    // deadline-degraded partial.
+    const QueryResult& result = state.result;
+    const bool missed =
+        result.status.code() == StatusCode::kDeadlineExceeded ||
+        (result.degraded &&
+         result.degrade_reason == StatusCode::kDeadlineExceeded);
+    constexpr double kAlpha = 0.05;
+    const double sample = missed ? 1.0 : 0.0;
+    double current = miss_ewma_.load(std::memory_order_relaxed);
+    while (!miss_ewma_.compare_exchange_weak(
+        current, current + kAlpha * (sample - current),
+        std::memory_order_relaxed)) {
+    }
+  }
   state.Finish();
 }
 

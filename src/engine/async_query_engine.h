@@ -157,11 +157,11 @@ class QueryTicket {
 /// supports native batched queries, each dispatch pops up to
 /// batch_block_size waiting tickets and serves the cache-miss seeds as one
 /// SpMM group — so opportunistic batching emerges from arrival order under
-/// load, without clients pre-batching.  Serving runs the exact same private
-/// QueryEngine paths as Query / QueryBatch, so results are bitwise
-/// identical to the blocking API for the same seeds — at either precision
-/// tier (an engine over an fp32 graph serves fp32 through the async
-/// surface too).
+/// load, without clients pre-batching.  Serving runs the same private
+/// QueryEngine resolve → compute routine as Query / QueryBatch, so results
+/// are bitwise identical to the blocking API for the same seeds — at
+/// either precision tier (an engine over an fp32 graph serves fp32 through
+/// the async surface too).
 ///
 /// Shutdown (or destruction) stops admissions, then drains: every ticket
 /// already admitted is served to completion before the engine dies.
@@ -243,28 +243,27 @@ class AsyncQueryEngine {
                    std::unique_ptr<Graph> shed_graph,
                    std::optional<QueryEngine> shed_engine);
 
-  /// Validates a DegradationPolicy (watermark range, min_iterations);
-  /// shared by Create and CreateFromRegistry.
-  static Status ValidatePolicy(const DegradationPolicy& policy);
+  /// Validates the queue bounds and the DegradationPolicy (watermark
+  /// range, min_iterations); shared by Create and CreateFromRegistry.
+  static Status ValidateOptions(const AsyncQueryEngineOptions& options);
 
   void SchedulerLoop();
   /// Whether a dispatch observing `queue_depth` waiting tickets should run
   /// degraded under the policy's queue watermark.
   bool IsOverloaded(size_t queue_depth) const;
-  /// Folds one deadline-bearing completion into the miss-rate EWMA.
-  void RecordDeadlineOutcome(bool missed);
   /// One serving job: claims each ticket (skipping cancelled ones, expiring
-  /// past-deadline ones unless the dispatch degrades), then serves cache
-  /// hits and invalid seeds per slot and the remaining misses per seed or
-  /// as one SpMM group — each miss under a per-ticket QueryContext wiring
-  /// its deadline, its mid-run cancel flag, and the dispatch's degradation
-  /// decision into the method.  `overloaded` is the scheduler's
-  /// dispatch-time watermark sample.
+  /// past-deadline ones unless the dispatch degrades), then runs the
+  /// engine's Resolve → Compute steps over the runnable tickets — each
+  /// under a per-ticket QueryContext wiring its deadline, its mid-run
+  /// cancel flag, and the dispatch's degradation decision into the method.
+  /// A shedding dispatch computes the misses on the fp32 shed tier.
+  /// `overloaded` is the scheduler's dispatch-time watermark sample.
   void ServeChunk(
       const std::vector<std::shared_ptr<internal_async::TicketState>>& chunk,
       bool overloaded);
   /// Marks `state` done with `result`'s current content and fires its
-  /// callback; bumps completed_ when `served` is true.
+  /// callback; bumps completed_ when `served` is true, and folds every
+  /// deadline-bearing completion into the miss-rate EWMA.
   void Complete(internal_async::TicketState& state, bool served);
 
   QueryEngine engine_;
@@ -275,9 +274,6 @@ class AsyncQueryEngine {
   /// the cheap overflow path, not a second serving hierarchy.
   std::unique_ptr<Graph> shed_graph_;
   std::optional<QueryEngine> shed_engine_;
-  /// Tickets per dispatch: batch_block_size when the method batches
-  /// natively, else 1.
-  size_t chunk_limit_ = 1;
   size_t max_inflight_ = 1;
 
   /// The queue, its synchronization, and the cancellation / rejection

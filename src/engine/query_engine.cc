@@ -104,6 +104,9 @@ QueryEngine::QueryEngine(const Graph& graph, std::unique_ptr<RwrMethod> method,
       method_mu_(std::make_unique<std::mutex>()) {
   options_.batch_block_size =
       ResolveBatchBlockSize(options.batch_block_size, graph, *method_);
+  if (options_.batch_block_size > 1 && method_->SupportsBatchQuery()) {
+    group_width_ = static_cast<size_t>(options_.batch_block_size);
+  }
 }
 
 StatusOr<QueryEngine> QueryEngine::Create(const Graph& graph,
@@ -157,69 +160,10 @@ bool QueryEngine::EntryCompatible(const CachedResult& entry) const {
   return true;
 }
 
-void QueryEngine::ShapeFromEntry(const ResultCache::Entry& entry,
-                                 QueryResult& result) {
-  result.from_cache = true;
-  if (options_.top_k > 0) {
-    if (entry->topk_only) {
-      const size_t k = std::min<size_t>(static_cast<size_t>(options_.top_k),
-                                        entry->topk.size());
-      result.top.assign(entry->topk.begin(),
-                        entry->topk.begin() + static_cast<long>(k));
-    } else if (precision_ == la::Precision::kFloat64) {
-      result.top = TopKScores(entry->dense64, options_.top_k);
-    } else {
-      result.top = TopKScores(entry->dense32, options_.top_k);
-    }
-  } else if (precision_ == la::Precision::kFloat64) {
-    result.scores = entry->dense64;
-  } else {
-    result.scores_f32 = entry->dense32;
-  }
-}
-
 bool QueryEngine::UseNativeTopKPath() const {
   return options_.top_k > 0 && method_->SupportsTopKQuery() &&
          graph_->permutation() == nullptr &&
          (cache_ == nullptr || options_.cache_topk_only);
-}
-
-void QueryEngine::ServeTopKInto(NodeId seed, QueryResult& result,
-                                QueryContext* context) {
-  result.seed = seed;
-  TopKQueryOptions topk_options;
-  // Serving stays score-exact: results must be bitwise-identical to the
-  // dense path (and to what a dense-caching engine would serve), so the
-  // engine never trades certified-lower-bound scores for the last few
-  // iterations.  The win is skipping the dense merge and full-vector sort.
-  topk_options.allow_early_termination = false;
-  StatusOr<TopKQueryResult> top = InvokeMethodGuarded([&] {
-    if (method_->SupportsConcurrentQuery()) {
-      return method_->QueryTopK(seed, options_.top_k, topk_options, context);
-    }
-    std::lock_guard<std::mutex> lock(*method_mu_);
-    return method_->QueryTopK(seed, options_.top_k, topk_options, context);
-  });
-  if (!top.ok()) {
-    result.status = top.status();
-    return;
-  }
-  result.top = std::move(top->top);
-  if (cache_ != nullptr) {
-    cache_->Put(seed, std::make_shared<const CachedResult>(
-                          CachedResult::TopKOnly(precision_, result.top)));
-  }
-}
-
-bool QueryEngine::TryServeFromCache(NodeId seed, QueryResult& result) {
-  if (cache_ == nullptr) return false;
-  ResultCache::Entry hit = cache_->GetMatching(
-      seed, [this](const CachedResult& entry) {
-        return EntryCompatible(entry);
-      });
-  if (hit == nullptr) return false;
-  ShapeFromEntry(hit, result);
-  return true;
 }
 
 namespace {
@@ -240,6 +184,47 @@ std::vector<V>& ResultDense(QueryResult& result) {
   } else {
     return result.scores_f32;
   }
+}
+
+/// The method's dense per-seed and block queries at tier V.
+template <typename V>
+StatusOr<std::vector<V>> QueryDenseT(RwrMethod& method, NodeId seed,
+                                     QueryContext* context) {
+  if constexpr (std::is_same_v<V, double>) {
+    return method.Query(seed, context);
+  } else {
+    return method.QueryF32(seed, context);
+  }
+}
+template <typename V>
+StatusOr<la::DenseBlockT<V>> QueryBlockT(
+    RwrMethod& method, std::span<const NodeId> seeds,
+    std::span<QueryContext* const> contexts) {
+  if constexpr (std::is_same_v<V, double>) {
+    return method.QueryBatchDense(seeds, contexts);
+  } else {
+    return method.QueryBatchDenseF32(seeds, contexts);
+  }
+}
+
+/// Fans an SpMM result block back into per-seed dense vectors in one pass
+/// over the block rows (per-vector ExtractVector would re-stream the whole
+/// n×B block B times), translating internal→external row positions on the
+/// fly when the graph is reordered.
+template <typename V>
+std::vector<std::vector<V>> FanOutBlock(const la::DenseBlockT<V>& block,
+                                        const Permutation* permutation) {
+  const size_t rows = block.rows();
+  const size_t num_vectors = block.num_vectors();
+  std::vector<std::vector<V>> dense(num_vectors, std::vector<V>(rows));
+  for (size_t r = 0; r < rows; ++r) {
+    const V* row = block.RowPtr(r);
+    const size_t e = permutation != nullptr
+                         ? permutation->ToExternal(static_cast<NodeId>(r))
+                         : r;
+    for (size_t b = 0; b < num_vectors; ++b) dense[b][e] = row[b];
+  }
+  return dense;
 }
 
 }  // namespace
@@ -287,237 +272,177 @@ void QueryEngine::ShapeAndCacheT(NodeId seed, std::vector<V> dense,
   }
 }
 
-void QueryEngine::ServeInto(NodeId seed, QueryResult& result,
-                            QueryContext* context) {
-  result.seed = seed;
-  if (seed >= graph_->num_nodes()) {
-    result.status = OutOfRangeError("seed node out of range");
-    return;
+size_t QueryEngine::Resolve(std::span<Request> requests) {
+  size_t misses = 0;
+  for (size_t i = 0; i < requests.size(); ++i) {
+    QueryResult& result = *requests[i].result;
+    if (result.seed >= graph_->num_nodes()) {
+      result.status = OutOfRangeError("seed node out of range");
+      continue;
+    }
+    if (cache_ != nullptr) {
+      // A mismatched entry counts as a miss (and is refreshed by the
+      // miss's insert).
+      ResultCache::Entry hit = cache_->GetMatching(
+          result.seed,
+          [this](const CachedResult& entry) { return EntryCompatible(entry); });
+      if (hit != nullptr) {
+        result.from_cache = true;
+        if (options_.top_k <= 0) {
+          // A compatible dense entry holds only this engine's tier.
+          result.scores = hit->dense64;
+          result.scores_f32 = hit->dense32;
+        } else if (hit->topk_only) {
+          const size_t k = std::min<size_t>(
+              static_cast<size_t>(options_.top_k), hit->topk.size());
+          result.top.assign(hit->topk.begin(),
+                            hit->topk.begin() + static_cast<long>(k));
+        } else if (precision_ == la::Precision::kFloat64) {
+          result.top = TopKScores(hit->dense64, options_.top_k);
+        } else {
+          result.top = TopKScores(hit->dense32, options_.top_k);
+        }
+        continue;
+      }
+    }
+    std::swap(requests[misses++], requests[i]);
   }
-  // A cache hit beats any deadline: serving it is a copy, so an expired or
-  // cancelled context still gets the exact answer for free.
-  if (TryServeFromCache(seed, result)) return;
+  return misses;
+}
+
+void QueryEngine::Compute(std::span<const Request> misses) {
+  if (precision_ == la::Precision::kFloat32) {
+    ComputeT<float>(misses);
+  } else {
+    ComputeT<double>(misses);
+  }
+}
+
+template <typename V>
+void QueryEngine::ComputeT(std::span<const Request> misses) {
+  // Every method call runs guarded, serialized for methods that are not
+  // safe to call concurrently.
+  const auto call_method = [this](auto&& call) {
+    return InvokeMethodGuarded([&] {
+      if (method_->SupportsConcurrentQuery()) return call();
+      std::lock_guard<std::mutex> lock(*method_mu_);
+      return call();
+    });
+  };
   if (UseNativeTopKPath()) {
-    ServeTopKInto(seed, result, context);
+    // Bound-driven top-k queries never materialize dense vectors, so there
+    // is no SpMM block to share.  Serving stays score-exact: results must
+    // be bitwise-identical to the dense path (and to what a dense-caching
+    // engine would serve), so the engine never trades certified-lower-bound
+    // scores for the last few iterations.  An aborted context always fails
+    // the result — a partial ranking carries no certificate.
+    TopKQueryOptions topk_options;
+    topk_options.allow_early_termination = false;
+    for (const Request& request : misses) {
+      QueryResult& result = *request.result;
+      StatusOr<TopKQueryResult> top = call_method([&] {
+        return method_->QueryTopK(result.seed, options_.top_k, topk_options,
+                                  request.context);
+      });
+      if (!top.ok()) {
+        result.status = top.status();
+        continue;
+      }
+      result.top = std::move(top->top);
+      if (cache_ != nullptr) {
+        cache_->Put(result.seed,
+                    std::make_shared<const CachedResult>(
+                        CachedResult::TopKOnly(precision_, result.top)));
+      }
+    }
     return;
   }
 
   // The method speaks the graph's internal storage order; translate the
-  // seed in and the dense vector back out (see Permutation).
+  // seeds in and the dense vectors back out (see Permutation).
   const Permutation* permutation = graph_->permutation();
-  const NodeId internal =
-      permutation != nullptr ? permutation->ToInternal(seed) : seed;
-
-  if (precision_ == la::Precision::kFloat32) {
-    StatusOr<std::vector<float>> scores = InvokeMethodGuarded([&] {
-      if (method_->SupportsConcurrentQuery()) {
-        return method_->QueryF32(internal, context);
-      }
-      std::lock_guard<std::mutex> lock(*method_mu_);
-      return method_->QueryF32(internal, context);
-    });
-    if (!scores.ok()) {
-      result.status = scores.status();
-      return;
-    }
-    std::vector<float> dense = std::move(scores).value();
-    const bool cacheable = FinalizeAbort(context, result);
-    if (!result.status.ok()) return;
-    if (permutation != nullptr) dense = permutation->ScoresToExternal(dense);
-    ShapeAndCacheT<float>(seed, std::move(dense), result, cacheable);
-    return;
-  }
-
-  StatusOr<std::vector<double>> scores = InvokeMethodGuarded([&] {
-    if (method_->SupportsConcurrentQuery()) {
-      return method_->Query(internal, context);
-    }
-    std::lock_guard<std::mutex> lock(*method_mu_);
-    return method_->Query(internal, context);
-  });
-  if (!scores.ok()) {
-    result.status = scores.status();
-    return;
-  }
-  std::vector<double> dense = std::move(scores).value();
-  const bool cacheable = FinalizeAbort(context, result);
-  if (!result.status.ok()) return;
-  if (permutation != nullptr) dense = permutation->ScoresToExternal(dense);
-  ShapeAndCacheT<double>(seed, std::move(dense), result, cacheable);
-}
-
-namespace {
-
-/// Fans an SpMM result block back into per-seed dense vectors in one pass
-/// over the block rows (per-vector ExtractVector would re-stream the whole
-/// n×B block B times), translating internal→external row positions on the
-/// fly when the graph is reordered.
-template <typename V>
-std::vector<std::vector<V>> FanOutBlock(const la::DenseBlockT<V>& block,
-                                        const Permutation* permutation) {
-  const size_t rows = block.rows();
-  const size_t num_vectors = block.num_vectors();
-  std::vector<std::vector<V>> dense(num_vectors, std::vector<V>(rows));
-  for (size_t r = 0; r < rows; ++r) {
-    const V* row = block.RowPtr(r);
-    const size_t e = permutation != nullptr
-                         ? permutation->ToExternal(static_cast<NodeId>(r))
-                         : r;
-    for (size_t b = 0; b < num_vectors; ++b) dense[b][e] = row[b];
-  }
-  return dense;
-}
-
-}  // namespace
-
-void QueryEngine::ServeGroup(const std::vector<NodeId>& group,
-                             const std::vector<QueryResult*>& slots,
-                             std::span<QueryContext* const> contexts) {
-  const auto context_for = [&contexts](size_t k) {
-    return contexts.empty() ? nullptr : contexts[k];
+  const auto internal = [permutation](NodeId seed) {
+    return permutation != nullptr ? permutation->ToInternal(seed) : seed;
   };
-  if (UseNativeTopKPath()) {
-    // Bound-driven top-k queries never materialize dense vectors, so there
-    // is no SpMM block to share across the group; each slot runs the native
-    // path (this also covers the async engine's grouped chunks).
-    for (size_t k = 0; k < slots.size(); ++k) {
-      ServeTopKInto(group[k], *slots[k], context_for(k));
-    }
-    return;
-  }
+  const auto finish = [this](const Request& request, std::vector<V> dense) {
+    QueryResult& result = *request.result;
+    const bool cacheable = FinalizeAbort(request.context, result);
+    if (!result.status.ok()) return;
+    ShapeAndCacheT<V>(result.seed, std::move(dense), result, cacheable);
+  };
 
-  const Permutation* permutation = graph_->permutation();
-  std::vector<NodeId> internal_group;
-  const std::vector<NodeId>* method_group = &group;
-  if (permutation != nullptr) {
-    internal_group.reserve(group.size());
-    for (NodeId seed : group) {
-      internal_group.push_back(permutation->ToInternal(seed));
-    }
-    method_group = &internal_group;
-  }
-
-  if (precision_ == la::Precision::kFloat32) {
-    StatusOr<la::DenseBlockF> block = InvokeMethodGuarded([&] {
-      if (method_->SupportsConcurrentQuery()) {
-        return method_->QueryBatchDenseF32(*method_group, contexts);
+  if (group_width_ <= 1 || misses.size() <= 1) {
+    for (const Request& request : misses) {
+      StatusOr<std::vector<V>> scores = call_method([&] {
+        return QueryDenseT<V>(*method_, internal(request.result->seed),
+                              request.context);
+      });
+      if (!scores.ok()) {
+        request.result->status = scores.status();
+        continue;
       }
-      std::lock_guard<std::mutex> lock(*method_mu_);
-      return method_->QueryBatchDenseF32(*method_group, contexts);
-    });
-    if (!block.ok()) {
-      for (QueryResult* slot : slots) slot->status = block.status();
-      return;
-    }
-    std::vector<std::vector<float>> dense = FanOutBlock(*block, permutation);
-    for (size_t k = 0; k < slots.size(); ++k) {
-      const bool cacheable = FinalizeAbort(context_for(k), *slots[k]);
-      if (!slots[k]->status.ok()) continue;
-      ShapeAndCacheT<float>(group[k], std::move(dense[k]), *slots[k],
-                            cacheable);
+      std::vector<V> dense = std::move(scores).value();
+      if (permutation != nullptr) dense = permutation->ScoresToExternal(dense);
+      finish(request, std::move(dense));
     }
     return;
   }
 
-  StatusOr<la::DenseBlock> block = InvokeMethodGuarded([&] {
-    if (method_->SupportsConcurrentQuery()) {
-      return method_->QueryBatchDense(*method_group, contexts);
-    }
-    std::lock_guard<std::mutex> lock(*method_mu_);
-    return method_->QueryBatchDense(*method_group, contexts);
-  });
+  std::vector<NodeId> group;
+  std::vector<QueryContext*> contexts;
+  group.reserve(misses.size());
+  contexts.reserve(misses.size());
+  for (const Request& request : misses) {
+    group.push_back(internal(request.result->seed));
+    contexts.push_back(request.context);
+  }
+  StatusOr<la::DenseBlockT<V>> block = call_method(
+      [&] { return QueryBlockT<V>(*method_, group, contexts); });
   if (!block.ok()) {
-    for (QueryResult* slot : slots) slot->status = block.status();
+    for (const Request& request : misses) {
+      request.result->status = block.status();
+    }
     return;
   }
-  std::vector<std::vector<double>> dense = FanOutBlock(*block, permutation);
-  for (size_t k = 0; k < slots.size(); ++k) {
-    const bool cacheable = FinalizeAbort(context_for(k), *slots[k]);
-    if (!slots[k]->status.ok()) continue;
-    ShapeAndCacheT<double>(group[k], std::move(dense[k]), *slots[k],
-                           cacheable);
+  std::vector<std::vector<V>> dense = FanOutBlock(*block, permutation);
+  for (size_t k = 0; k < misses.size(); ++k) {
+    finish(misses[k], std::move(dense[k]));
   }
+}
+
+void QueryEngine::Serve(std::span<Request> requests) {
+  Compute(requests.first(Resolve(requests)));
 }
 
 QueryResult QueryEngine::Query(NodeId seed) {
   QueryResult result;
-  ServeInto(seed, result);
+  result.seed = seed;
+  Request request{&result};
+  Serve({&request, 1});
   return result;
 }
 
 std::vector<QueryResult> QueryEngine::QueryBatch(
     const std::vector<NodeId>& seeds) {
   std::vector<QueryResult> results(seeds.size());
-  if (seeds.empty()) return results;
-
-  if (options_.batch_block_size <= 1 || !method_->SupportsBatchQuery()) {
-    // Per-seed fan-out: one pool job per seed.
-    std::latch pending(static_cast<ptrdiff_t>(seeds.size()));
-    for (size_t i = 0; i < seeds.size(); ++i) {
-      pool_->Submit([this, &seeds, &results, &pending, i] {
-        ServeInto(seeds[i], results[i]);
-        pending.count_down();
-      });
-    }
-    pending.wait();
-    return results;
-  }
-
-  // SpMM group path.  The calling thread resolves each slot's fate first —
-  // invalid seed, cache hit, or miss — so misses can be partitioned into
-  // multi-vector groups.  Hits are shaped on the pool (top-k extraction is
-  // a partial sort over n) alongside the group jobs.
-  struct PendingHit {
-    size_t slot;
-    ResultCache::Entry entry;
-  };
-  std::vector<PendingHit> hits;
-  std::vector<size_t> misses;
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    results[i].seed = seeds[i];
-    if (seeds[i] >= graph_->num_nodes()) {
-      results[i].status = OutOfRangeError("seed node out of range");
-      continue;
-    }
-    if (cache_ != nullptr) {
-      if (ResultCache::Entry entry = cache_->GetMatching(
-              seeds[i], [this](const CachedResult& e) {
-                return EntryCompatible(e);
-              })) {
-        hits.push_back({i, std::move(entry)});
-        continue;
+  // One pool job per chunk, submitted in seed order — a one-thread pool
+  // therefore calls the method in seed order.
+  const size_t width = group_width_;
+  std::latch pending(
+      static_cast<ptrdiff_t>((seeds.size() + width - 1) / width));
+  for (size_t begin = 0; begin < seeds.size(); begin += width) {
+    pool_->Submit([this, &seeds, &results, &pending, begin, width] {
+      const size_t end = std::min(begin + width, seeds.size());
+      std::vector<Request> requests;
+      requests.reserve(end - begin);
+      for (size_t i = begin; i < end; ++i) {
+        results[i].seed = seeds[i];
+        requests.push_back({&results[i]});
       }
-    }
-    misses.push_back(i);
-  }
-
-  const size_t block = static_cast<size_t>(options_.batch_block_size);
-  const size_t num_groups = (misses.size() + block - 1) / block;
-  std::latch pending(static_cast<ptrdiff_t>(hits.size() + num_groups));
-
-  for (size_t h = 0; h < hits.size(); ++h) {
-    pool_->Submit([this, &results, &hits, &pending, h] {
-      ShapeFromEntry(hits[h].entry, results[hits[h].slot]);
+      Serve(requests);
       pending.count_down();
     });
   }
-
-  for (size_t begin = 0; begin < misses.size(); begin += block) {
-    pool_->Submit([this, &seeds, &results, &misses, &pending, begin, block] {
-      const size_t end = std::min(begin + block, misses.size());
-      std::vector<NodeId> group;
-      std::vector<QueryResult*> slots;
-      group.reserve(end - begin);
-      slots.reserve(end - begin);
-      for (size_t k = begin; k < end; ++k) {
-        group.push_back(seeds[misses[k]]);
-        slots.push_back(&results[misses[k]]);
-      }
-      ServeGroup(group, slots);
-      pending.count_down();
-    });
-  }
-
   pending.wait();
   return results;
 }

@@ -131,15 +131,15 @@ struct QueryResult {
 /// bit-for-bit the historical pipeline.  The two tiers never serve each
 /// other's cache entries (see CachedResult).
 ///
-/// `QueryBatch` is batch-first: when the method supports native batched
-/// queries (SupportsBatchQuery), cache-miss seeds are partitioned into
-/// SpMM groups of `batch_block_size` and each group runs the method's
-/// multi-vector path as one pool job — a single traversal of the CSR
-/// arrays shared by the whole group — before results fan back into
-/// per-seed slots with the same cache/top-k behavior as individual
-/// queries.  Other methods fan each seed out individually across the
-/// pool.  Methods that declare SupportsConcurrentQuery() run fully
-/// parallel; stateful methods (Monte Carlo RNGs) are serialized
+/// `QueryBatch` is batch-first: the seeds are cut, in order, into chunks of
+/// `batch_block_size` when the method supports native batched queries
+/// (SupportsBatchQuery), else of one seed, and each chunk is one pool job.
+/// Within a chunk, invalid seeds and cache hits resolve per slot and the
+/// misses run the method's multi-vector path as one SpMM group — a single
+/// traversal of the CSR arrays shared by the whole group — before results
+/// fan back into per-seed slots with the same cache/top-k behavior as
+/// individual queries.  Methods that declare SupportsConcurrentQuery() run
+/// fully parallel; stateful methods (Monte Carlo RNGs) are serialized
 /// internally, still overlapping cache lookups and result extraction.
 ///
 /// The engine borrows the graph (it must outlive the engine) and owns the
@@ -190,23 +190,42 @@ class QueryEngine {
   CacheStats cache_stats() const;
 
  private:
-  /// The async serving layer reuses this engine's private serving paths
-  /// (ServeInto / ServeGroup / TryServeFromCache) verbatim, which is what
-  /// keeps async results bitwise-identical to Query / QueryBatch.
+  /// The async serving layer drives the same two serving steps (Resolve,
+  /// Compute) on its tickets, chunked by group_width_ on pool_, which is
+  /// what keeps async results bitwise-identical to Query / QueryBatch.
   friend class AsyncQueryEngine;
 
   QueryEngine(const Graph& graph, std::unique_ptr<RwrMethod> method,
               const QueryEngineOptions& options, int num_threads);
 
-  /// Computes (or fetches) the dense vector and shapes it into `result`.
-  /// `context`, when non-null, rides along into the method: iteration-shaped
-  /// methods poll it at propagation-iteration boundaries, so a deadline or
-  /// cancellation lands within one iteration.  On abort the result either
-  /// fails with the abort status (default) or — when the context asks for
-  /// degradation — carries the partial iterate with its certified bound
-  /// (QueryResult::degraded); either way nothing is cached.
-  void ServeInto(NodeId seed, QueryResult& result,
-                 QueryContext* context = nullptr);
+  /// One request on the serving path: the slot its result lands in (with
+  /// `seed` already set) and, when non-null, the cooperative context that
+  /// rides into the method.  Iteration-shaped methods poll the context at
+  /// propagation-iteration boundaries, so a deadline or cancellation lands
+  /// within one iteration.
+  struct Request {
+    QueryResult* result = nullptr;
+    QueryContext* context = nullptr;
+  };
+
+  /// Serving step 1: fails out-of-range seeds, serves compatible cache hits
+  /// (a hit beats any deadline — serving it is a copy), and moves the
+  /// remaining misses, in order, to the front of `requests`.  Returns the
+  /// number of misses.
+  size_t Resolve(std::span<Request> requests);
+
+  /// Serving step 2, at the engine's tier: computes every miss and shapes
+  /// it into its slot, caching converged answers.  Native top-k runs per
+  /// miss; a grouping engine serves two or more misses as one
+  /// QueryBatchDense block, each aborting seed frozen out of the shared
+  /// SpMM on its own; otherwise each miss is one dense query.  On abort a
+  /// slot fails or degrades per FinalizeAbort and nothing is cached.
+  void Compute(std::span<const Request> misses);
+  template <typename V>
+  void ComputeT(std::span<const Request> misses);
+
+  /// Resolve then Compute.
+  void Serve(std::span<Request> requests);
 
   /// Whether top-k requests route through the method's native bound-driven
   /// path (RwrMethod::QueryTopK) instead of dense-query-then-partial-sort.
@@ -220,28 +239,10 @@ class QueryEngine {
   /// (node, score) pairs stay bitwise-identical to the dense path's.
   bool UseNativeTopKPath() const;
 
-  /// Serves one seed through the native top-k path (caller has already
-  /// missed the cache): runs QueryTopK (locking for non-concurrent
-  /// methods), fills result.top, and refreshes the top-k-only cache entry.
-  /// An aborted context always fails the result — a partial top-k ranking
-  /// carries no certificate, so top-k queries never degrade.
-  void ServeTopKInto(NodeId seed, QueryResult& result,
-                     QueryContext* context = nullptr);
-
   /// Whether a stored entry can serve this engine's requests: same
   /// precision tier, and top-k-only entries only for top-k requests they
   /// cover.
   bool EntryCompatible(const CachedResult& entry) const;
-
-  /// Shapes a cache entry into `result` (top-k or dense copy, sets
-  /// from_cache) — the one hit-serving path for both the per-seed and the
-  /// SpMM-group flows.  The entry must be EntryCompatible.
-  void ShapeFromEntry(const ResultCache::Entry& entry, QueryResult& result);
-
-  /// Cache probe; on a compatible hit, shapes the entry into `result` and
-  /// returns true.  A mismatched entry counts as a miss (and is refreshed
-  /// by the subsequent insert).
-  bool TryServeFromCache(NodeId seed, QueryResult& result);
 
   /// Applies a context's abort outcome to a served result.  No-op (returns
   /// true) when `context` is null or the query ran to convergence.  On an
@@ -260,17 +261,6 @@ class QueryEngine {
   void ShapeAndCacheT(NodeId seed, std::vector<V> dense, QueryResult& result,
                       bool cacheable = true);
 
-  /// Serves one SpMM group: runs QueryBatchDense (or the fp32 flavor) for
-  /// `group` (locking for non-concurrent methods) and fans the block back
-  /// into the result slots `slots[k]` ← vector k.  On failure every slot
-  /// gets the group status.  `contexts`, when non-empty, aligns with
-  /// `group`: an aborting seed is frozen out of the shared SpMM (identical
-  /// to aborting a scalar run) and its slot fails or degrades per
-  /// FinalizeAbort while the rest of the group completes normally.
-  void ServeGroup(const std::vector<NodeId>& group,
-                  const std::vector<QueryResult*>& slots,
-                  std::span<QueryContext* const> contexts = {});
-
   const Graph* graph_;  // not owned
   QueryEngineOptions options_;
   la::Precision precision_ = la::Precision::kFloat64;
@@ -279,6 +269,9 @@ class QueryEngine {
   std::unique_ptr<ResultCache> cache_;  // null when caching is disabled
   /// Serializes Query for methods without SupportsConcurrentQuery.
   std::unique_ptr<std::mutex> method_mu_;
+  /// Seeds per serving chunk: batch_block_size when the method batches
+  /// natively and the engine groups, else 1.
+  size_t group_width_ = 1;
 };
 
 /// Extracts the k highest-scoring nodes from a dense vector via partial

@@ -78,6 +78,14 @@ StatusOr<Graph> LoadEdgeList(const std::string& path, NodeId num_nodes,
       oss << "node id out of range at " << path << ":" << line_no;
       return OutOfRangeError(oss.str());
     }
+    // Ids are cast to uint32 NodeId below; 2^32 - 1 itself is out too, as
+    // max_id + 1 must still be a representable node count.
+    if (u >= UINT32_MAX || v >= UINT32_MAX) {
+      std::ostringstream oss;
+      oss << "node id exceeds the uint32 node-id limit at " << path << ":"
+          << line_no;
+      return InvalidArgumentError(oss.str());
+    }
     max_id = std::max({max_id, u, v});
     have_edges = true;
     edges.emplace_back(static_cast<NodeId>(u), static_cast<NodeId>(v));

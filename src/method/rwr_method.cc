@@ -24,8 +24,14 @@ StatusOr<TopKQueryResult> RwrMethod::QueryTopK(NodeId seed, int k,
   return result;
 }
 
-StatusOr<la::DenseBlock> RwrMethod::QueryBatchDense(
-    std::span<const NodeId> seeds, std::span<QueryContext* const> contexts) {
+namespace {
+
+/// The default batch body at tier V: one per-seed `query` per seed, each
+/// under its aligned context, stacked into a block.
+template <typename V, typename QueryFn>
+StatusOr<la::DenseBlockT<V>> LoopPerSeed(
+    std::span<const NodeId> seeds, std::span<QueryContext* const> contexts,
+    QueryFn query) {
   if (seeds.empty()) {
     return InvalidArgumentError("seed batch must be non-empty");
   }
@@ -33,18 +39,29 @@ StatusOr<la::DenseBlock> RwrMethod::QueryBatchDense(
     return InvalidArgumentError(
         "contexts must be empty or align with the seed batch");
   }
-  la::DenseBlock block;
+  la::DenseBlockT<V> block;
   for (size_t b = 0; b < seeds.size(); ++b) {
     QueryContext* context = contexts.empty() ? nullptr : contexts[b];
-    TPA_ASSIGN_OR_RETURN(std::vector<double> scores,
-                         Query(seeds[b], context));
+    TPA_ASSIGN_OR_RETURN(std::vector<V> scores, query(seeds[b], context));
     if (b == 0) block.Resize(scores.size(), seeds.size());
     if (scores.size() != block.rows()) {
-      return InternalError("Query returned inconsistently sized vectors");
+      return InternalError("per-seed query returned inconsistently sized "
+                           "vectors");
     }
     block.SetVector(b, scores);
   }
   return block;
+}
+
+}  // namespace
+
+StatusOr<la::DenseBlock> RwrMethod::QueryBatchDense(
+    std::span<const NodeId> seeds, std::span<QueryContext* const> contexts) {
+  return LoopPerSeed<double>(
+      seeds, contexts,
+      [this](NodeId seed, QueryContext* context) {
+        return Query(seed, context);
+      });
 }
 
 StatusOr<std::vector<float>> RwrMethod::QueryF32(NodeId seed,
@@ -56,25 +73,11 @@ StatusOr<std::vector<float>> RwrMethod::QueryF32(NodeId seed,
 
 StatusOr<la::DenseBlockF> RwrMethod::QueryBatchDenseF32(
     std::span<const NodeId> seeds, std::span<QueryContext* const> contexts) {
-  if (seeds.empty()) {
-    return InvalidArgumentError("seed batch must be non-empty");
-  }
-  if (!contexts.empty() && contexts.size() != seeds.size()) {
-    return InvalidArgumentError(
-        "contexts must be empty or align with the seed batch");
-  }
-  la::DenseBlockF block;
-  for (size_t b = 0; b < seeds.size(); ++b) {
-    QueryContext* context = contexts.empty() ? nullptr : contexts[b];
-    TPA_ASSIGN_OR_RETURN(std::vector<float> scores,
-                         QueryF32(seeds[b], context));
-    if (b == 0) block.Resize(scores.size(), seeds.size());
-    if (scores.size() != block.rows()) {
-      return InternalError("QueryF32 returned inconsistently sized vectors");
-    }
-    block.SetVector(b, scores);
-  }
-  return block;
+  return LoopPerSeed<float>(
+      seeds, contexts,
+      [this](NodeId seed, QueryContext* context) {
+        return QueryF32(seed, context);
+      });
 }
 
 }  // namespace tpa

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <memory>
+#include <type_traits>
+#include <vector>
+
 #include "core/cpi.h"
 #include "core/tpa.h"
 #include "graph/generators.h"
@@ -84,6 +90,115 @@ TEST(TpaPersonalizedTest, ValidatesSeeds) {
   ASSERT_TRUE(tpa.ok());
   EXPECT_FALSE(tpa->QueryPersonalized({}).ok());
   EXPECT_FALSE(tpa->QueryPersonalized({graph.num_nodes()}).ok());
+}
+
+/// A degrade-to-partial context whose preset cancel flag aborts the run
+/// right after iteration `iteration`.
+struct AbortAt {
+  explicit AbortAt(int iteration) {
+    context.cancel = &cancel;
+    context.degrade_to_partial = true;
+    context.min_iterations = iteration;
+  }
+  std::atomic<bool> cancel{true};
+  QueryContext context;
+};
+
+/// Every degraded answer's error_bound must certify its L1 gap to the
+/// converged query at the graph's tier, on both the per-seed and the
+/// grouped path; every run that did not abort stays bitwise the query.
+template <typename V>
+void CheckAbortCertificates(const Graph& graph) {
+  constexpr bool kF32 = std::is_same_v<V, float>;
+  TpaOptions options;
+  auto tpa = Tpa::Preprocess(graph, options);
+  ASSERT_TRUE(tpa.ok());
+  const auto converged = [&](NodeId seed) {
+    if constexpr (kF32) {
+      return tpa->QueryF(seed);
+    } else {
+      return tpa->Query(seed);
+    }
+  };
+  const auto check = [&](NodeId seed, const QueryContext& context,
+                         const std::vector<V>& answer) {
+    const std::vector<V> exact = converged(seed);
+    if (context.aborted) {
+      EXPECT_LE(la::L1Distance(answer, exact), context.error_bound)
+          << "seed " << seed << " aborted at " << context.aborted_at_iteration;
+    } else {
+      EXPECT_EQ(answer, exact) << "seed " << seed;
+    }
+  };
+
+  std::vector<NodeId> seeds;
+  for (NodeId seed = 0; seed < graph.num_nodes(); seed += 7) {
+    seeds.push_back(seed);
+  }
+  for (int iteration = 0; iteration <= options.family_window - 2;
+       ++iteration) {
+    for (NodeId seed : seeds) {
+      AbortAt abort(iteration);
+      StatusOr<std::vector<V>> answer = [&] {
+        if constexpr (kF32) {
+          return tpa->QueryPersonalizedF({seed}, &abort.context);
+        } else {
+          return tpa->QueryPersonalized({seed}, &abort.context);
+        }
+      }();
+      ASSERT_TRUE(answer.ok());
+      EXPECT_TRUE(abort.context.aborted) << "seed " << seed;
+      check(seed, abort.context, *answer);
+    }
+  }
+
+  // Groups of 8 with per-seed contexts: seed k aborts after iteration
+  // k % 5 (0..3) or, every fifth seed, runs without a context.
+  constexpr size_t kGroup = 8;
+  for (size_t begin = 0; begin < seeds.size(); begin += kGroup) {
+    const std::vector<NodeId> group(
+        seeds.begin() + static_cast<long>(begin),
+        seeds.begin() + static_cast<long>(std::min(begin + kGroup,
+                                                   seeds.size())));
+    std::vector<std::unique_ptr<AbortAt>> aborts;
+    std::vector<QueryContext*> contexts;
+    for (size_t k = 0; k < group.size(); ++k) {
+      const int iteration = static_cast<int>((begin + k) % 5);
+      aborts.push_back(std::make_unique<AbortAt>(iteration));
+      contexts.push_back(iteration == 4 ? nullptr : &aborts.back()->context);
+    }
+    auto block = [&] {
+      if constexpr (kF32) {
+        return tpa->QueryBatchF(group, contexts);
+      } else {
+        return tpa->QueryBatch(group, contexts);
+      }
+    }();
+    ASSERT_TRUE(block.ok());
+    for (size_t k = 0; k < group.size(); ++k) {
+      std::vector<V> answer(graph.num_nodes());
+      for (NodeId r = 0; r < graph.num_nodes(); ++r) {
+        answer[r] = block->At(r, k);
+      }
+      check(group[k], aborts[k]->context, answer);
+    }
+  }
+}
+
+TEST(TpaPersonalizedTest, AbortErrorBoundCertifiesEveryTier) {
+  for (uint64_t generator_seed : {77u, 78u, 79u}) {
+    DcsbmOptions options;
+    options.nodes = 500;
+    options.edges = 5000;
+    options.blocks = 10;
+    options.seed = generator_seed;
+    auto graph = GenerateDcsbm(options);
+    ASSERT_TRUE(graph.ok());
+    SCOPED_TRACE(generator_seed);
+    CheckAbortCertificates<double>(*graph);
+    CheckAbortCertificates<float>(
+        RematerializeWithPrecision(*graph, la::Precision::kFloat32));
+  }
 }
 
 }  // namespace

@@ -250,6 +250,33 @@ TEST(AsyncQueryEngineTest, DeadlinePassingWhileQueuedExpires) {
   EXPECT_TRUE(running.Wait().status.ok());
 }
 
+TEST(AsyncQueryEngineTest, DeadlineMissRateIsTheSameOnEveryDispatchShape) {
+  // An expired ticket (a miss), then an out-of-range seed with a generous
+  // deadline (failed, but on time): per-seed and grouped dispatch each fold
+  // both deadline-bearing completions into the EWMA (alpha = 0.05), giving
+  // 0.05 and then 0.05 * 0.95.
+  Graph graph = ServingGraph();
+  for (int block_size : {0, 4}) {
+    QueryEngineOptions engine_options;
+    engine_options.num_threads = 2;
+    engine_options.batch_block_size = block_size;
+    auto async = AsyncQueryEngine::Create(
+        graph, std::make_unique<TpaMethod>(), engine_options);
+    ASSERT_TRUE(async.ok());
+
+    SubmitOptions expired;
+    expired.deadline = steady_clock::now() - milliseconds(5);
+    EXPECT_EQ((*async)->Submit(7, expired).Wait().status.code(),
+              StatusCode::kDeadlineExceeded);
+    SubmitOptions generous;
+    generous.deadline = steady_clock::now() + std::chrono::seconds(30);
+    EXPECT_EQ((*async)->Submit(999999, generous).Wait().status.code(),
+              StatusCode::kOutOfRange);
+    EXPECT_NEAR((*async)->stats().deadline_miss_rate, 0.0475, 1e-12)
+        << "batch_block_size " << block_size;
+  }
+}
+
 TEST(AsyncQueryEngineTest, CancelQueuedTicketBeforeItStarts) {
   Graph graph = ServingGraph();
   auto gate = std::make_shared<GateMethod::Gate>();

@@ -183,5 +183,31 @@ TEST_F(GraphIoTest, EmptyFileWithExplicitNodeCountStillLoads) {
   EXPECT_EQ(graph->num_nodes(), 3u);
 }
 
+// Node ids must fit NodeId with max_id + 1 still a valid node count: each
+// of these used to be cast to uint32 before any check (a CHECK abort for
+// 2^32 - 1, a silently wrapped graph for the others).
+TEST_F(GraphIoTest, RejectsNodeIdAtTheUint32Limit) {
+  WriteFile("0 4294967295\n");
+  auto graph = LoadEdgeList(path_);
+  ASSERT_FALSE(graph.ok());
+  EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(graph.status().message().find(":1"), std::string::npos);
+}
+
+TEST_F(GraphIoTest, RejectsNodeIdPastTheUint32Range) {
+  WriteFile("0 4294967296\n");
+  auto graph = LoadEdgeList(path_);
+  ASSERT_FALSE(graph.ok());
+  EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(GraphIoTest, RejectsWrappedSourceAndTargetIds) {
+  WriteFile("# a comment\n5 4294967301\n");
+  auto graph = LoadEdgeList(path_);
+  ASSERT_FALSE(graph.ok());
+  EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(graph.status().message().find(":2"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace tpa
