@@ -9,9 +9,10 @@
 /// With `--json PATH [--scale N] [--edges M]` the binary instead runs the
 /// sparse-vs-dense frontier crossover sweep on a generated R-MAT graph and
 /// writes the measurements machine-readable (e.g. BENCH_kernels.json): per
-/// frontier density, the time of SpMvTransposeFrontier / SpMmTransposeFrontier
-/// against their dense counterparts, plus the measured crossover density —
-/// the data behind CpiOptions::frontier_density_threshold's default.
+/// frontier density, the time of SpMmTransposeFrontier at width 1 and width
+/// 8 against the dense SpMmTranspose at the same width, plus the measured
+/// crossover density — the data behind CpiOptions::frontier_density_threshold's
+/// default.
 ///
 /// The same JSON run also records the fp32-vs-fp64 precision sweep: dense
 /// SpMvTranspose / width-8 and width-16 SpMmTranspose timed at both
@@ -20,6 +21,11 @@
 /// README.  Each ladder rung also times the value-free twins (kRowConstant
 /// over the same structure, ≈4 streamed bytes/nnz, bitwise-identical
 /// outputs) at both tiers — the data behind the "Memory layout" section.
+///
+/// The committed BENCH_kernels.json is regenerated, from a Release build
+/// directory `build/` at the repository root, with
+///   build/bench_kernels --scale 20 --edges 16777216 --json BENCH_kernels.json
+/// (precision rows at scales 16/18/20, 16 edge draws per node).
 
 #include <benchmark/benchmark.h>
 
@@ -148,30 +154,35 @@ void BM_SparseMatVec(benchmark::State& state) {
 }
 BENCHMARK(BM_SparseMatVec);
 
-void BM_SpMvTransposeFrontierSparse(benchmark::State& state) {
+/// The width-1 frontier scatter — the sparse head of a single-seed CPI.
+void BM_SpMmTransposeFrontierWidth1Sparse(benchmark::State& state) {
   const Graph& graph = BenchGraph();
   const la::CsrMatrix& csr = graph.Transition();
   const uint32_t n = csr.rows();
   const auto frontier_rows = static_cast<uint32_t>(state.range(0));
-  std::vector<double> x(n, 0.0);
+  la::DenseBlock x(n, 1);
   std::vector<uint32_t> frontier(frontier_rows);
   for (uint32_t i = 0; i < frontier_rows; ++i) {
     frontier[i] = static_cast<uint32_t>((uint64_t{i} * 2654435761u) % n);
-    x[frontier[i]] = 1.0 / frontier_rows;
+    x.At(frontier[i], 0) = 1.0 / frontier_rows;
   }
   std::sort(frontier.begin(), frontier.end());
   frontier.erase(std::unique(frontier.begin(), frontier.end()),
                  frontier.end());
-  std::vector<double> y(n, 0.0);
+  la::DenseBlock y(n, 1);
   std::vector<uint32_t> next_frontier;
   la::FrontierScratch scratch;
   for (auto _ : state) {
-    for (uint32_t j : next_frontier) y[j] = 0.0;
-    csr.SpMvTransposeFrontier(x, frontier, 1.0, y, next_frontier, scratch);
-    benchmark::DoNotOptimize(y.data());
+    for (uint32_t j : next_frontier) y.At(j, 0) = 0.0;
+    csr.SpMmTransposeFrontier(x, frontier, 1.0, y, next_frontier, scratch);
+    benchmark::DoNotOptimize(y.RowPtr(0));
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_SpMvTransposeFrontierSparse)->Arg(64)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_SpMmTransposeFrontierWidth1Sparse)
+    ->Arg(64)
+    ->Arg(1024)
+    ->Arg(16384);
 
 // ------------------------------------------------------------------ sweep
 
@@ -416,8 +427,9 @@ void AppendPrecisionJson(std::ofstream& out,
 }
 
 /// The sparse-vs-dense crossover: one scatter at a synthetic frontier of f
-/// rows (deterministically spread over the id space), timed for the scalar
-/// and the width-8 block kernel against their dense counterparts.  The
+/// rows (deterministically spread over the id space), timed for the width-1
+/// block kernel (the "spmv" columns: what a single-seed CPI runs) and the
+/// width-8 one against their dense counterparts at the same width.  The
 /// crossover density — where sparse stops winning — is what
 /// CpiOptions::frontier_density_threshold encodes.
 int RunCrossoverSweep(const SweepArgs& args) {
@@ -439,31 +451,31 @@ int RunCrossoverSweep(const SweepArgs& args) {
     row.frontier_rows = f;
     row.density = static_cast<double>(f) / n;
 
-    std::vector<double> x(n, 0.0);
+    la::DenseBlock x(n, 1);
     la::DenseBlock bx(n, kBlockWidth);
     std::vector<uint32_t> frontier;
     frontier.reserve(f);
     for (size_t i = 0; i < f; ++i) {
       const auto r = static_cast<uint32_t>((uint64_t{i} * 2654435761u) % n);
-      x[r] = 1.0 / static_cast<double>(f);
-      for (size_t b = 0; b < kBlockWidth; ++b) bx.At(r, b) = x[r];
+      x.At(r, 0) = 1.0 / static_cast<double>(f);
+      for (size_t b = 0; b < kBlockWidth; ++b) bx.At(r, b) = x.At(r, 0);
       frontier.push_back(r);
     }
     std::sort(frontier.begin(), frontier.end());
     frontier.erase(std::unique(frontier.begin(), frontier.end()),
                    frontier.end());
 
-    std::vector<double> y(n, 0.0);
+    la::DenseBlock y(n, 1);
     std::vector<uint32_t> next_frontier;
     la::FrontierScratch scratch;
     // The sparse timing includes the stale-support re-zeroing the adaptive
     // loop pays per iteration.
     row.spmv_sparse_ms = TimeMs([&] {
-      for (uint32_t j : next_frontier) y[j] = 0.0;
-      csr.SpMvTransposeFrontier(x, frontier, 1.0, y, next_frontier, scratch);
+      for (uint32_t j : next_frontier) y.At(j, 0) = 0.0;
+      csr.SpMmTransposeFrontier(x, frontier, 1.0, y, next_frontier, scratch);
     });
-    std::vector<double> dense_y;
-    row.spmv_dense_ms = TimeMs([&] { csr.SpMvTranspose(x, dense_y); });
+    la::DenseBlock dense_y;
+    row.spmv_dense_ms = TimeMs([&] { csr.SpMmTranspose(x, dense_y); });
 
     la::DenseBlock by(n, kBlockWidth);
     next_frontier.clear();

@@ -4,9 +4,12 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <ranges>
+#include <string>
 #include <type_traits>
 
 #include "la/vector_ops.h"
+#include "la/width_dispatch.h"
 #include "util/check.h"
 #include "util/failpoint.h"
 
@@ -37,24 +40,23 @@ Status ValidateOptions(const CpiOptions& options) {
   return OkStatus();
 }
 
-/// Scalar and blocked interim buffers of the workspace at tier V — the
-/// other tier's buffers are never touched by a V-run.
-template <typename V>
-std::vector<V>& WsX(Cpi::Workspace& ws) {
-  if constexpr (std::is_same_v<V, double>) {
-    return ws.x;
-  } else {
-    return ws.x_f;
+/// Fails on an empty seed list (InvalidArgument, naming `what`) or an
+/// out-of-range seed (OutOfRange).
+Status ValidateSeeds(const Graph& graph, std::span<const NodeId> seeds,
+                     const char* what) {
+  if (seeds.empty()) {
+    return InvalidArgumentError(std::string(what) + " must be non-empty");
   }
-}
-template <typename V>
-std::vector<V>& WsNext(Cpi::Workspace& ws) {
-  if constexpr (std::is_same_v<V, double>) {
-    return ws.next;
-  } else {
-    return ws.next_f;
+  for (NodeId s : seeds) {
+    if (s >= graph.num_nodes()) {
+      return OutOfRangeError("seed node out of range");
+    }
   }
+  return OkStatus();
 }
+
+/// The blocked interim buffers of the workspace at tier V — the other
+/// tier's buffers are never touched by a V-run.
 template <typename V>
 la::DenseBlockT<V>& WsBlockX(Cpi::Workspace& ws) {
   if constexpr (std::is_same_v<V, double>) {
@@ -72,291 +74,217 @@ la::DenseBlockT<V>& WsBlockNext(Cpi::Workspace& ws) {
   }
 }
 
-/// Scalar post-propagate phase of a sparse-head iteration, restricted to the
-/// frontier (a sorted superset of x's support): x ·= decay, scores += x,
-/// returns ‖x‖₁.  Entries off the frontier are exactly +0.0, and adding or
-/// scaling +0.0 is a bitwise no-op, so this reproduces the dense
-/// Scale → Axpy → NormL1 sequence exactly — at either tier: the product is
-/// taken in fp64, rounded once to V on store, and the accumulation and norm
-/// read the stored (rounded) value just like the dense passes would.
-/// `scores` may be null (window outside [s_iter, t_iter]).
-template <typename V>
-double ScaleAccumulateAndNormFrontier(double decay,
-                                      std::span<const NodeId> frontier,
-                                      std::vector<V>& x, V* scores) {
-  double norm = 0.0;
-  for (NodeId i : frontier) {
-    const V v = static_cast<V>(static_cast<double>(x[i]) * decay);
-    x[i] = v;
-    if (scores != nullptr) scores[i] += static_cast<double>(v);
-    norm += std::abs(static_cast<double>(v));
-  }
-  return norm;
-}
-
-/// The blocked equivalent of one scalar post-propagate phase — Scale(decay),
-/// Axpy into the accumulator, NormL1 — fused into a single streaming pass
-/// over the block (three separate n×B sweeps would triple the dominant
-/// dense traffic of a batched iteration).  Per element the arithmetic and
-/// its order match the scalar phases exactly: v = x·decay, acc += v (for
-/// vectors still accumulating), norm_b += |v| over rows in ascending
-/// order.  A frozen vector keeps propagating through the shared SpMM
-/// (cheaper than compacting the block) but stops accumulating, exactly
-/// like its scalar loop breaking.
-template <typename V>
-std::vector<double> ScaleAccumulateAndNorms(double decay, bool accumulate,
-                                            const std::vector<char>& active,
-                                            size_t remaining,
-                                            la::DenseBlockT<V>& x,
-                                            la::DenseBlockT<V>& acc) {
-  const size_t num_vectors = x.num_vectors();
-  std::vector<double> norms(num_vectors, 0.0);
-  const bool all_active = remaining == num_vectors;
-  double* norms_data = norms.data();
-  for (size_t r = 0; r < x.rows(); ++r) {
-    V* __restrict xr = x.RowPtr(r);
-    V* __restrict ar = acc.RowPtr(r);
-    for (size_t b = 0; b < num_vectors; ++b) {
-      const V v = static_cast<V>(static_cast<double>(xr[b]) * decay);
-      xr[b] = v;
-      if (accumulate && (all_active || active[b])) {
-        ar[b] += static_cast<double>(v);
+/// The post-propagate phase of one CPI iteration — Scale(decay), Axpy into
+/// the accumulator, NormL1 — fused into one streaming pass over the block
+/// rows that may be nonzero: every row, or the sorted union frontier (rows
+/// off it hold exact +0.0 in every column, so skipping them is a bitwise
+/// no-op).  Per element the arithmetic and its order are those of the
+/// separate scalar passes: v = x·decay taken in fp64 and rounded once to V,
+/// acc += v for the columns still accumulating, norms[b] += |v| over rows
+/// in ascending order.  With decay == 1.0 it is the x(0) pass (v = x·1.0
+/// is bitwise x for the finite inputs the loop admits).  `acc` is an n × B
+/// row-major accumulator with the block's stride.  Width-specialized like
+/// the kernels so the per-column norms live in registers: through memory
+/// they would serialize every row on a store-to-load round trip.
+template <typename V, typename Rows>
+void ScaleAccumulateAndNorms(double decay, const Rows& rows,
+                             const std::vector<char>& accumulating,
+                             la::DenseBlockT<V>& x, V* acc,
+                             std::vector<double>& norms) {
+  V* const xs = x.RowPtr(0);
+  const auto pass = [&](auto width, double* sums, const char* accumulate) {
+    for (const size_t r : rows) {
+      V* __restrict xr = xs + r * width;
+      V* __restrict ar = acc + r * width;
+      for (size_t b = 0; b < width; ++b) {
+        const V v = static_cast<V>(static_cast<double>(xr[b]) * decay);
+        xr[b] = v;
+        if (accumulate[b]) ar[b] += static_cast<double>(v);
+        sums[b] += std::abs(static_cast<double>(v));
       }
-      norms_data[b] += std::abs(static_cast<double>(v));
     }
-  }
-  return norms;
+  };
+  la::DispatchWidth(
+      x.num_vectors(),
+      [&]<size_t kWidth>() {
+        double sums[kWidth] = {};
+        char accumulate[kWidth];
+        std::copy_n(accumulating.begin(), kWidth, accumulate);
+        pass(std::integral_constant<size_t, kWidth>{}, sums, accumulate);
+        std::copy_n(sums, kWidth, norms.begin());
+      },
+      [&] {
+        std::fill(norms.begin(), norms.end(), 0.0);
+        pass(x.num_vectors(), norms.data(), accumulating.data());
+      });
 }
 
-/// Frontier-restricted variant of ScaleAccumulateAndNorms: the same fused
-/// pass over only the union-frontier rows (sorted ascending), which is a
-/// superset of every vector's support.  Rows off the frontier hold exact
-/// +0.0 in all B lanes, so skipping them is a bitwise no-op against the
-/// full sweep.  With decay == 1.0 this doubles as the x(0) accumulation
-/// pass (v = x·1.0 is bitwise x for the NaN/Inf/−0.0-free inputs the
-/// kernels already assume).
+/// Scans column 0 of x for its support and leaves it, sorted, in
+/// `frontier`.  Bails out (returns false) once the support exceeds the
+/// density limit — the run starts dense and no frontier is needed.
 template <typename V>
-std::vector<double> ScaleAccumulateAndNormsFrontier(
-    double decay, bool accumulate, const std::vector<char>& active,
-    size_t remaining, std::span<const NodeId> frontier, la::DenseBlockT<V>& x,
-    la::DenseBlockT<V>& acc) {
-  const size_t num_vectors = x.num_vectors();
-  std::vector<double> norms(num_vectors, 0.0);
-  const bool all_active = remaining == num_vectors;
-  double* norms_data = norms.data();
-  for (NodeId r : frontier) {
-    V* __restrict xr = x.RowPtr(r);
-    V* __restrict ar = acc.RowPtr(r);
-    for (size_t b = 0; b < num_vectors; ++b) {
-      const V v = static_cast<V>(static_cast<double>(xr[b]) * decay);
-      xr[b] = v;
-      if (accumulate && (all_active || active[b])) {
-        ar[b] += static_cast<double>(v);
-      }
-      norms_data[b] += std::abs(static_cast<double>(v));
-    }
-  }
-  return norms;
-}
-
-/// Marks vectors whose interim norm dropped below tolerance as frozen;
-/// returns how many remain active.
-size_t FreezeConverged(const std::vector<double>& norms, double tolerance,
-                       std::vector<char>& active, size_t remaining) {
-  for (size_t b = 0; b < norms.size(); ++b) {
-    if (active[b] && norms[b] < tolerance) {
-      active[b] = 0;
-      --remaining;
-    }
-  }
-  return remaining;
-}
-
-/// Scans x for its support and leaves it, sorted, in `frontier`.  Bails out
-/// (returns false) once the support exceeds the density limit — the run
-/// starts dense and no frontier is needed.
-template <typename V>
-bool ScanInitialFrontier(const std::vector<V>& x, double limit,
+bool ScanInitialFrontier(const la::DenseBlockT<V>& x, double limit,
                          std::vector<NodeId>& frontier) {
   frontier.clear();
-  for (NodeId i = 0; i < x.size(); ++i) {
-    if (x[i] == V{0}) continue;
+  for (NodeId i = 0; i < x.rows(); ++i) {
+    if (x.At(i, 0) == V{0}) continue;
     frontier.push_back(i);
     if (static_cast<double>(frontier.size()) > limit) return false;
   }
   return true;
 }
 
-/// No-op iteration observer of the scalar loop — the default instantiation
-/// optimizes out entirely, keeping RunT bitwise- and cost-identical to the
-/// pre-observer loop.
-template <typename V>
+/// Leaves the sorted unique seeds — the support of x(0) — in `frontier`.
+void SortedUniqueSeeds(std::span<const NodeId> seeds,
+                       std::vector<NodeId>& frontier) {
+  frontier.assign(seeds.begin(), seeds.end());
+  std::sort(frontier.begin(), frontier.end());
+  frontier.erase(std::unique(frontier.begin(), frontier.end()), frontier.end());
+}
+
+/// No-op iteration observer — the batch instantiation optimizes it out.
 struct NullObserver {
-  bool AfterIteration(int, bool, const Cpi::ResultT<V>&,
-                      const Cpi::Workspace&) {
+  bool AfterIteration(int, bool, double, std::span<const NodeId>) {
     return false;
   }
 };
 
-/// Records a context abort after iteration `i` in both the result and the
-/// context (the certified bound covers the iterations that never ran).
-template <typename V>
-void RecordAbort(QueryContext& context, StatusCode code, int i,
-                 const CpiOptions& options, Cpi::ResultT<V>& result) {
-  const double bound = CpiRemainingMassBound<V>(
-      result.last_interim_norm, options.restart_probability,
-      options.tolerance, i, options.terminal_iteration);
-  result.abort_code = code;
-  result.remaining_mass_bound = bound;
-  context.aborted = true;
-  context.abort_code = code;
-  context.aborted_at_iteration = i;
-  context.error_bound = bound;
-}
-
-/// The per-iteration context poll of the scalar loop: true (and records the
-/// abort) when the run should stop after iteration `i`.  Null context is
-/// one untaken branch.
+/// The context poll after iteration `i`: when `context` asks to stop,
+/// records the abort — with the certified bound over the iterations that
+/// never ran — in both `column` and the context and returns true.  Null
+/// context is one untaken branch.
 template <typename V>
 bool AbortAfterIteration(QueryContext* context, int i,
-                         const CpiOptions& options, Cpi::ResultT<V>& result) {
+                         const CpiOptions& options, Cpi::ResultT<V>& column) {
   if (context == nullptr || i < context->min_iterations) return false;
   const StatusCode code = context->AbortNow();
   if (code == StatusCode::kOk) return false;
-  RecordAbort(*context, code, i, options, result);
+  const double bound = CpiRemainingMassBound<V>(
+      column.last_interim_norm, options.restart_probability,
+      options.tolerance, i, options.terminal_iteration);
+  column.abort_code = code;
+  column.remaining_mass_bound = bound;
+  context->aborted = true;
+  context->abort_code = code;
+  context->aborted_at_iteration = i;
+  context->error_bound = bound;
   return true;
 }
 
-/// Shared scalar CPI loop.  Preconditions: options validated; the tier-V
-/// interim buffer holds x(0) = c·q; when frontier_ready, ws.frontier holds
-/// x(0)'s support sorted ascending (callers with explicit seed lists skip
-/// the O(n) support scan).
+/// The CPI loop (paper Algorithm 1) over B columns at once, sharing one
+/// SpMM sweep per iteration.  Preconditions: options validated; the tier-V
+/// block x of the workspace holds x(0) (n × B, B = columns.size()); `acc`
+/// is a zeroed n × B row-major accumulator; when `sparse`, ws.frontier
+/// holds the sorted union support of x(0); `contexts` is empty or aligned
+/// with the columns (null entries allowed).
 ///
-/// `observer.AfterIteration(i, sparse, result, ws)` runs once per computed
-/// iteration, after its accumulation and norm (when `sparse`, ws.frontier
-/// holds x(i)'s support sorted ascending).  Returning true stops the run
-/// after the current iteration — the bound-driven top-k path's early
-/// termination; convergence still takes precedence in the result flags.
+/// The first iterations run sparse over the union frontier until it
+/// exceeds the density threshold, the tail dense.  Column b stops
+/// accumulating — and its ResultT fields freeze — at the first iteration
+/// where its interim norm drops below ε, its context aborts, or (column 0
+/// of a width-1 run) the observer asks to stop; the frozen column keeps
+/// riding the shared SpMM (cheaper than compacting the block), so its
+/// accumulator is bitwise the width-1 run of that column alone.  Per
+/// column, convergence outranks the observer's stop, which outranks the
+/// abort: a run stopped by its own tolerance is a complete answer even if
+/// the deadline also just passed.
+///
+/// `observer.AfterIteration(i, sparse, norm, frontier)` runs once per
+/// iteration, after the accumulation, with column 0's interim norm (when
+/// `sparse`, `frontier` holds x(i)'s sorted union support); returning true
+/// stops the run — the bound-driven top-k path's early termination.
 template <typename V, typename Observer>
-Cpi::ResultT<V> RunScalarLoopObserved(const Graph& graph,
-                                      const CpiOptions& options,
-                                      Cpi::Workspace& ws, bool frontier_ready,
-                                      Observer& observer,
-                                      QueryContext* context = nullptr) {
+void RunLoop(const Graph& graph, const CpiOptions& options, Cpi::Workspace& ws,
+             bool sparse, V* acc, std::span<Cpi::ResultT<V>> columns,
+             Observer&& observer,
+             std::span<QueryContext* const> contexts = {}) {
   const NodeId n = graph.num_nodes();
+  const size_t width = columns.size();
   const double decay = 1.0 - options.restart_probability;
   const double limit =
       options.frontier_density_threshold * static_cast<double>(n);
-  std::vector<V>& x = WsX<V>(ws);
-  std::vector<V>& next = WsNext<V>(ws);
+  la::DenseBlockT<V>& x = WsBlockX<V>(ws);
+  la::DenseBlockT<V>& next = WsBlockNext<V>(ws);
 
-  Cpi::ResultT<V> result;
-  result.scores.assign(n, V{0});
-
-  bool sparse = options.frontier_density_threshold > 0.0;
-  if (sparse && !frontier_ready) {
-    sparse = ScanInitialFrontier(x, limit, ws.frontier);
-  }
   if (sparse && static_cast<double>(ws.frontier.size()) > limit) {
     sparse = false;
   }
-  next.assign(n, V{0});
-  ws.next_frontier.clear();  // the recycled buffer starts fully zeroed
+  next.Resize(n, width);
+  if (sparse) next.SetZero();  // the recycled buffer starts fully zeroed
+  ws.next_frontier.clear();
 
-  // x(0) accumulation + interim norm.
-  if (sparse) {
-    result.last_interim_norm = ScaleAccumulateAndNormFrontier<V>(
-        1.0, ws.frontier, x,
-        options.start_iteration == 0 ? result.scores.data() : nullptr);
-  } else {
-    if (options.start_iteration == 0) la::Axpy(1.0, x, result.scores);
-    result.last_interim_norm = la::NormL1(x);
-  }
-  const bool stop0 = observer.AfterIteration(0, sparse, result, ws);
-  if (result.last_interim_norm < options.tolerance) {
-    result.converged = true;
-    return result;
-  }
-  if (stop0) return result;
-  if (AbortAfterIteration(context, 0, options, result)) return result;
-
-  for (int i = 1; i <= options.terminal_iteration; ++i) {
-    // Propagation-site failpoint (no-op unless TPA_FAILPOINTS=ON): a delay
-    // armed here makes a deadline expire mid-query deterministically.
-    TPA_FAILPOINT_HIT("cpi.iteration");
-    if (sparse) {
-      // Re-zero the stale support of the recycled buffer (the interim
-      // vector from two iterations ago), then scatter from the frontier.
-      for (NodeId j : ws.next_frontier) next[j] = V{0};
-      const bool stayed = graph.TransitionT<V>().SpMvTransposeFrontier(
-          x, ws.frontier, options.frontier_density_threshold, next,
-          ws.next_frontier, ws.scratch);
-      x.swap(next);
-      result.last_iteration = i;
-      if (stayed) {
-        ws.frontier.swap(ws.next_frontier);
-        result.last_interim_norm = ScaleAccumulateAndNormFrontier<V>(
-            decay, ws.frontier, x,
-            i >= options.start_iteration ? result.scores.data() : nullptr);
+  std::vector<char> active(width, 1);
+  size_t remaining = width;
+  std::vector<char> accumulating(width, 0);
+  std::vector<double> norms(width);
+  for (int i = 0;; ++i) {
+    if (i > 0) {
+      // Propagation-site failpoint (no-op unless TPA_FAILPOINTS=ON): a
+      // delay armed here makes a deadline expire mid-query
+      // deterministically.
+      TPA_FAILPOINT_HIT("cpi.iteration");
+      if (sparse) {
+        // Re-zero the stale support of the recycled buffer (the interim
+        // block from two iterations ago), then scatter from the frontier;
+        // above the density threshold the kernel falls through to the
+        // dense sweep and the run stays dense from here on.
+        for (NodeId j : ws.next_frontier) {
+          V* row = next.RowPtr(j);
+          std::fill(row, row + width, V{0});
+        }
+        sparse = graph.TransitionT<V>().SpMmTransposeFrontier(
+            x, ws.frontier, options.frontier_density_threshold, next,
+            ws.next_frontier, ws.scratch);
       } else {
-        // The kernel fell through to the dense scatter; finish this
-        // iteration with the dense post-passes and stay dense.
-        sparse = false;
-        la::Scale(decay, x);
-        if (i >= options.start_iteration) la::Axpy(1.0, x, result.scores);
-        result.last_interim_norm = la::NormL1(x);
+        graph.MultiplyTransposeBlockT<V>(x, next);
       }
-    } else {
-      graph.MultiplyTransposeT<V>(x, next);
-      la::Scale(decay, next);
       x.swap(next);
-      result.last_iteration = i;
-      if (i >= options.start_iteration) la::Axpy(1.0, x, result.scores);
-      result.last_interim_norm = la::NormL1(x);
+      if (sparse) ws.frontier.swap(ws.next_frontier);
     }
-    // The observer runs before the convergence check so it sees the final
-    // iteration's frontier too (it may be tracking the touched support).
-    const bool stop = observer.AfterIteration(i, sparse, result, ws);
-    if (result.last_interim_norm < options.tolerance) {
-      result.converged = true;
-      break;
+    const double step = i == 0 ? 1.0 : decay;
+    if (i >= options.start_iteration) accumulating = active;
+    if (sparse) {
+      ScaleAccumulateAndNorms<V>(step, ws.frontier, accumulating, x, acc,
+                                 norms);
+    } else {
+      ScaleAccumulateAndNorms<V>(step, std::views::iota(size_t{0}, size_t{n}),
+                                 accumulating, x, acc, norms);
     }
-    if (stop) break;
-    // Convergence outranks the abort: a run stopped by its own tolerance
-    // is a complete answer even if the deadline also just passed.
-    if (AbortAfterIteration(context, i, options, result)) break;
+    const bool stop = observer.AfterIteration(i, sparse, norms[0], ws.frontier);
+    for (size_t b = 0; b < width; ++b) {
+      if (!active[b]) continue;
+      Cpi::ResultT<V>& column = columns[b];
+      QueryContext* context = contexts.empty() ? nullptr : contexts[b];
+      column.last_iteration = i;
+      column.last_interim_norm = norms[b];
+      if (norms[b] < options.tolerance) {
+        column.converged = true;
+      } else if (!stop && !AbortAfterIteration(context, i, options, column)) {
+        continue;
+      }
+      active[b] = 0;
+      --remaining;
+    }
+    if (remaining == 0 || i >= options.terminal_iteration) break;
   }
-  return result;
 }
 
-template <typename V>
-Cpi::ResultT<V> RunScalarLoop(const Graph& graph, const CpiOptions& options,
-                              Cpi::Workspace& ws, bool frontier_ready,
-                              QueryContext* context = nullptr) {
-  NullObserver<V> observer;
-  return RunScalarLoopObserved<V>(graph, options, ws, frontier_ready,
-                                  observer, context);
-}
-
-/// Builds x(0) = c·q for a uniform seed set directly in the workspace —
-/// q[s] += share per seed, then the support scaled by c, bitwise-identical
-/// to materializing q and Scale(c, ·) over all n (off-support entries are
-/// exact +0.0 and 0·c is a bitwise no-op) without the extra n-length
-/// vector.  Leaves the sorted unique support in ws.frontier.
+/// Builds x(0) = c·q for a uniform seed set in column 0 of a width-1 block
+/// — q[s] += share per seed, then the support scaled by c, bitwise what
+/// materializing q and Scale(c, ·) gives (off-support entries are exact
+/// +0.0 and 0·c is a bitwise no-op).  Leaves the sorted unique support in
+/// ws.frontier.
 template <typename V>
 void BuildSeedStart(const Graph& graph, const std::vector<NodeId>& seeds,
                     const CpiOptions& options, Cpi::Workspace& ws) {
-  std::vector<V>& x = WsX<V>(ws);
-  x.assign(graph.num_nodes(), V{0});
+  la::DenseBlockT<V>& x = WsBlockX<V>(ws);
+  x.Resize(graph.num_nodes(), 1);
+  x.SetZero();
   const double share = 1.0 / static_cast<double>(seeds.size());
-  for (NodeId s : seeds) x[s] += share;
-
-  ws.frontier.assign(seeds.begin(), seeds.end());
-  std::sort(ws.frontier.begin(), ws.frontier.end());
-  ws.frontier.erase(std::unique(ws.frontier.begin(), ws.frontier.end()),
-                    ws.frontier.end());
+  for (NodeId s : seeds) x.At(s, 0) += share;
+  SortedUniqueSeeds(seeds, ws.frontier);
   const double c = options.restart_probability;
-  for (NodeId i : ws.frontier) x[i] *= c;
+  for (NodeId i : ws.frontier) x.At(i, 0) *= c;
 }
 
 /// Iteration observer of the bound-driven top-k runner.  Tracks the touched
@@ -370,9 +298,12 @@ void BuildSeedStart(const Graph& graph, const std::vector<NodeId>& seeds,
 template <typename V>
 class TopKTracker {
  public:
+  /// `scores` is the run's accumulator, read at each certification scan.
   TopKTracker(const Graph& graph, const CpiOptions& options,
-              const Cpi::TopKRunOptions& topk, const Cpi::TopKBaseT<V>& base)
-      : n_(graph.num_nodes()),
+              const Cpi::TopKRunOptions& topk, const Cpi::TopKBaseT<V>& base,
+              const std::vector<V>& scores)
+      : scores_(scores),
+        n_(graph.num_nodes()),
         k_(std::min(static_cast<size_t>(topk.k), static_cast<size_t>(n_))),
         allow_early_(topk.allow_early_termination),
         decay_(1.0 - options.restart_probability),
@@ -380,21 +311,20 @@ class TopKTracker {
         terminal_(options.terminal_iteration),
         base_(base) {}
 
-  bool AfterIteration(int i, bool sparse, const Cpi::ResultT<V>& result,
-                      const Cpi::Workspace& ws) {
+  bool AfterIteration(int i, bool sparse, double norm,
+                      std::span<const NodeId> frontier) {
     if (support_known_) {
       if (sparse) {
-        MergeTouched(ws.frontier);
+        MergeTouched(frontier);
       } else {
         support_known_ = false;  // dense tail: support no longer enumerated
       }
     }
     if (!allow_early_ || k_ == 0) return false;
-    const double norm = result.last_interim_norm;
     if (norm < tolerance_) return false;  // converging naturally anyway
     const double slack = Slack(norm, i);
     if (slack >= scan_gate_) return false;
-    SelectCandidates(result.scores);
+    SelectCandidates();
     scan_gate_ = selector_.MinCertGap(k_);
     if (selector_.CertifiesTopK(k_, slack)) {
       certified_ = true;
@@ -411,7 +341,7 @@ class TopKTracker {
     // On early termination the certified selection (partial scores, exact
     // ranks) is the answer; at a natural end a fresh selection over the
     // final scores yields the exact merged values.
-    if (!certified_) SelectCandidates(result.scores);
+    if (!certified_) SelectCandidates();
     const auto held = selector_.entries();
     const size_t take = std::min(k_, held.size());
     out.top.assign(held.begin(), held.begin() + take);
@@ -440,9 +370,9 @@ class TopKTracker {
   /// Merged value of a touched node — matches la::Scale(post_scale, ·) then
   /// la::Axpy(1.0, base, ·) bitwise: each product and sum computed in fp64,
   /// rounded to V once per step.
-  double Merged(V p, NodeId v) const {
+  double Merged(NodeId v) const {
     const V scaled =
-        static_cast<V>(base_.post_scale * static_cast<double>(p));
+        static_cast<V>(base_.post_scale * static_cast<double>(scores_[v]));
     if (base_.base == nullptr) return static_cast<double>(scaled);
     return static_cast<double>(static_cast<V>(
         static_cast<double>(scaled) + static_cast<double>((*base_.base)[v])));
@@ -471,13 +401,13 @@ class TopKTracker {
   /// skipping touched nodes covers the best excluded candidates without
   /// scanning all n.  Falls back to the full scan once the support is no
   /// longer enumerated.
-  void SelectCandidates(const std::vector<V>& scores) {
+  void SelectCandidates() {
     selector_.Reset(k_ + 1);
     if (!support_known_) {
-      for (NodeId v = 0; v < n_; ++v) selector_.Offer(v, Merged(scores[v], v));
+      for (NodeId v = 0; v < n_; ++v) selector_.Offer(v, Merged(v));
       return;
     }
-    for (NodeId v : touched_) selector_.Offer(v, Merged(scores[v], v));
+    for (NodeId v : touched_) selector_.Offer(v, Merged(v));
     size_t offered = 0;
     if (base_.base != nullptr) {
       for (NodeId v : base_.order) {
@@ -497,6 +427,7 @@ class TopKTracker {
     }
   }
 
+  const std::vector<V>& scores_;
   const NodeId n_;
   const size_t k_;
   const bool allow_early_;
@@ -562,17 +493,16 @@ StatusOr<Cpi::ResultT<V>> Cpi::RunT(const Graph& graph,
                                     Workspace* workspace,
                                     QueryContext* context) {
   TPA_RETURN_IF_ERROR(ValidateOptions(options));
-  if (seeds.empty()) return InvalidArgumentError("seed set must be non-empty");
-  for (NodeId s : seeds) {
-    if (s >= graph.num_nodes()) {
-      return OutOfRangeError("seed node out of range");
-    }
-  }
+  TPA_RETURN_IF_ERROR(ValidateSeeds(graph, seeds, "seed set"));
   Workspace local;
   Workspace& ws = workspace != nullptr ? *workspace : local;
   BuildSeedStart<V>(graph, seeds, options, ws);
-  return RunScalarLoop<V>(graph, options, ws, /*frontier_ready=*/true,
-                          context);
+  ResultT<V> result;
+  result.scores.assign(graph.num_nodes(), V{0});
+  const bool sparse = options.frontier_density_threshold > 0.0;
+  RunLoop<V>(graph, options, ws, sparse, result.scores.data(), {&result, 1},
+             NullObserver{}, {&context, 1});
+  return result;
 }
 
 template <typename V>
@@ -581,15 +511,36 @@ StatusOr<Cpi::ResultT<V>> Cpi::RunWithSeedVectorT(const Graph& graph,
                                                   const CpiOptions& options,
                                                   Workspace* workspace) {
   TPA_RETURN_IF_ERROR(ValidateOptions(options));
-  if (q.size() != graph.num_nodes()) {
+  const NodeId n = graph.num_nodes();
+  if (q.size() != n) {
     return InvalidArgumentError("seed vector size must equal node count");
+  }
+  // A NaN entry would keep ‖x‖₁ from ever dropping below ε, and a negative
+  // one would void the substochastic bounds the loop certifies.
+  for (V v : q) {
+    if (!(std::isfinite(v) && v >= V{0})) {
+      return InvalidArgumentError(
+          "seed vector entries must be finite and non-negative");
+    }
   }
   Workspace local;
   Workspace& ws = workspace != nullptr ? *workspace : local;
-  std::vector<V>& x = WsX<V>(ws);
-  x.assign(q.begin(), q.end());
-  la::Scale(options.restart_probability, x);
-  return RunScalarLoop<V>(graph, options, ws, /*frontier_ready=*/false);
+  la::DenseBlockT<V>& x = WsBlockX<V>(ws);
+  x.Resize(n, 1);
+  for (NodeId i = 0; i < n; ++i) {
+    x.At(i, 0) =
+        static_cast<V>(static_cast<double>(q[i]) * options.restart_probability);
+  }
+  const bool sparse =
+      options.frontier_density_threshold > 0.0 &&
+      ScanInitialFrontier(
+          x, options.frontier_density_threshold * static_cast<double>(n),
+          ws.frontier);
+  ResultT<V> result;
+  result.scores.assign(n, V{0});
+  RunLoop<V>(graph, options, ws, sparse, result.scores.data(), {&result, 1},
+             NullObserver{});
+  return result;
 }
 
 template <typename V>
@@ -598,125 +549,30 @@ StatusOr<la::DenseBlockT<V>> Cpi::RunBatchT(
     const CpiOptions& options, Workspace* workspace,
     std::span<QueryContext* const> contexts) {
   TPA_RETURN_IF_ERROR(ValidateOptions(options));
-  if (seeds.empty()) {
-    return InvalidArgumentError("seed batch must be non-empty");
-  }
+  TPA_RETURN_IF_ERROR(ValidateSeeds(graph, seeds, "seed batch"));
   if (!contexts.empty() && contexts.size() != seeds.size()) {
     return InvalidArgumentError(
         "contexts must be empty or align with the seed batch");
   }
-  for (NodeId s : seeds) {
-    if (s >= graph.num_nodes()) {
-      return OutOfRangeError("seed node out of range");
-    }
-  }
   Workspace local;
   Workspace& ws = workspace != nullptr ? *workspace : local;
 
-  const NodeId n = graph.num_nodes();
-  const double c = options.restart_probability;
-  const double decay = 1.0 - c;
-  const size_t num_vectors = seeds.size();
-  const double limit =
-      options.frontier_density_threshold * static_cast<double>(n);
-
-  // x(0) = c·e_s per vector; 1.0·c == c bitwise, matching the scalar path's
+  // x(0) = c·e_s per column; 1.0·c == c bitwise, matching RunT's
   // q[s] = 1.0 followed by Scale(c, ·).
+  const NodeId n = graph.num_nodes();
+  const size_t num_vectors = seeds.size();
   la::DenseBlockT<V>& x = WsBlockX<V>(ws);
-  la::DenseBlockT<V>& next = WsBlockNext<V>(ws);
   x.Resize(n, num_vectors);
   x.SetZero();
   for (size_t b = 0; b < num_vectors; ++b) {
-    x.At(seeds[b], b) = static_cast<V>(c);
+    x.At(seeds[b], b) = static_cast<V>(options.restart_probability);
   }
+  SortedUniqueSeeds(seeds, ws.frontier);
 
   la::DenseBlockT<V> acc(n, num_vectors);
-  std::vector<char> active(num_vectors, 1);
-  size_t remaining = num_vectors;
-
-  // Aborting seeds drop out through the same freeze the convergence check
-  // uses: the frozen vector rides the shared SpMM but stops accumulating,
-  // so its block column is bitwise the aborted scalar run's scores.  Runs
-  // after FreezeConverged so convergence outranks the abort.
-  auto freeze_aborted = [&](int i, const std::vector<double>& norms) {
-    if (contexts.empty()) return;
-    for (size_t b = 0; b < num_vectors; ++b) {
-      QueryContext* context = contexts[b];
-      if (!active[b] || context == nullptr) continue;
-      if (i < context->min_iterations) continue;
-      const StatusCode code = context->AbortNow();
-      if (code == StatusCode::kOk) continue;
-      const double bound = CpiRemainingMassBound<V>(
-          norms[b], options.restart_probability, options.tolerance, i,
-          options.terminal_iteration);
-      context->aborted = true;
-      context->abort_code = code;
-      context->aborted_at_iteration = i;
-      context->error_bound = bound;
-      active[b] = 0;
-      --remaining;
-    }
-  };
-
-  // The union frontier: sorted unique seeds, a superset of every vector's
-  // support.
-  bool sparse = options.frontier_density_threshold > 0.0;
-  if (sparse) {
-    ws.frontier.assign(seeds.begin(), seeds.end());
-    std::sort(ws.frontier.begin(), ws.frontier.end());
-    ws.frontier.erase(std::unique(ws.frontier.begin(), ws.frontier.end()),
-                      ws.frontier.end());
-    if (static_cast<double>(ws.frontier.size()) > limit) sparse = false;
-  }
-  next.Resize(n, num_vectors);
-  if (sparse) next.SetZero();  // the recycled buffer starts fully zeroed
-  ws.next_frontier.clear();
-
-  {
-    std::vector<double> norms0;
-    if (sparse) {
-      norms0 = ScaleAccumulateAndNormsFrontier<V>(
-          1.0, options.start_iteration == 0, active, remaining, ws.frontier,
-          x, acc);
-    } else {
-      if (options.start_iteration == 0) la::BlockAxpy(1.0, x, acc);
-      norms0 = la::BlockColumnNormsL1(x);
-    }
-    remaining = FreezeConverged(norms0, options.tolerance, active, remaining);
-    freeze_aborted(0, norms0);
-  }
-
-  for (int i = 1; i <= options.terminal_iteration && remaining > 0; ++i) {
-    TPA_FAILPOINT_HIT("cpi.iteration");
-    if (sparse) {
-      // Re-zero the stale support of the recycled buffer (the interim
-      // block from two iterations ago), then scatter from the frontier;
-      // above the density threshold the kernel falls through to the dense
-      // sweep and the run stays dense from here on.
-      for (NodeId j : ws.next_frontier) {
-        V* row = next.RowPtr(j);
-        std::fill(row, row + num_vectors, V{0});
-      }
-      sparse = graph.TransitionT<V>().SpMmTransposeFrontier(
-          x, ws.frontier, options.frontier_density_threshold, next,
-          ws.next_frontier, ws.scratch);
-    } else {
-      graph.MultiplyTransposeBlockT<V>(x, next);
-    }
-    x.swap(next);
-    std::vector<double> norms;
-    if (sparse) {
-      ws.frontier.swap(ws.next_frontier);
-      norms = ScaleAccumulateAndNormsFrontier<V>(
-          decay, i >= options.start_iteration, active, remaining, ws.frontier,
-          x, acc);
-    } else {
-      norms = ScaleAccumulateAndNorms<V>(decay, i >= options.start_iteration,
-                                         active, remaining, x, acc);
-    }
-    remaining = FreezeConverged(norms, options.tolerance, active, remaining);
-    freeze_aborted(i, norms);
-  }
+  std::vector<ResultT<V>> columns(num_vectors);
+  RunLoop<V>(graph, options, ws, options.frontier_density_threshold > 0.0,
+             acc.RowPtr(0), columns, NullObserver{}, contexts);
   return acc;
 }
 
@@ -772,12 +628,7 @@ StatusOr<TopKQueryResult> Cpi::RunTopKT(const Graph& graph,
                                         Workspace* workspace,
                                         QueryContext* context) {
   TPA_RETURN_IF_ERROR(ValidateOptions(options));
-  if (seeds.empty()) return InvalidArgumentError("seed set must be non-empty");
-  for (NodeId s : seeds) {
-    if (s >= graph.num_nodes()) {
-      return OutOfRangeError("seed node out of range");
-    }
-  }
+  TPA_RETURN_IF_ERROR(ValidateSeeds(graph, seeds, "seed set"));
   if (topk.k < 0) return InvalidArgumentError("k must be non-negative");
   if (!(base.post_scale >= 0.0)) {
     return InvalidArgumentError("post_scale must be non-negative");
@@ -796,9 +647,12 @@ StatusOr<TopKQueryResult> Cpi::RunTopKT(const Graph& graph,
   Workspace local;
   Workspace& ws = workspace != nullptr ? *workspace : local;
   BuildSeedStart<V>(graph, seeds, options, ws);
-  TopKTracker<V> tracker(graph, options, topk, base);
-  const ResultT<V> result = RunScalarLoopObserved<V>(
-      graph, options, ws, /*frontier_ready=*/true, tracker, context);
+  ResultT<V> result;
+  result.scores.assign(graph.num_nodes(), V{0});
+  TopKTracker<V> tracker(graph, options, topk, base, result.scores);
+  const bool sparse = options.frontier_density_threshold > 0.0;
+  RunLoop<V>(graph, options, ws, sparse, result.scores.data(), {&result, 1},
+             tracker, {&context, 1});
   if (result.abort_code != StatusCode::kOk) {
     // An uncertified partial ranking is not an answer — top-k aborts are
     // always errors (the dense path is the degradable one).

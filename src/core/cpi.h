@@ -79,23 +79,20 @@ class Cpi {
   using Result = ResultT<double>;
   using ResultF = ResultT<float>;
 
-  /// Reusable scratch of the propagation loop: the interim vectors (scalar
-  /// and blocked, at both precision tiers), the frontier lists of the
+  /// Reusable scratch of the propagation loop: the interim blocks at both
+  /// precision tiers (every entry point runs the one blocked loop — a
+  /// single-seed run is a width-1 block), the frontier lists of the
   /// adaptive head, and the kernel scratch.  Passing one workspace across
   /// queries hoists the full-n allocations a cold run would otherwise make
   /// per query out of the serving loop (buffers are resized once and
-  /// recycled; Tpa draws one per concurrent query from its WorkspacePool).
-  /// Only the buffers of the tier actually run are ever touched, so a
-  /// workspace serving an fp32 Tpa never materializes the fp64 set.  A
-  /// workspace serves one run at a time — not thread-safe; results never
-  /// alias it.
+  /// recycled, single-seed and batched runs sharing them; Tpa draws one per
+  /// concurrent query from its WorkspacePool).  Only the buffers of the tier
+  /// actually run are ever touched, so a workspace serving an fp32 Tpa never
+  /// materializes the fp64 set.  A workspace serves one run at a time — not
+  /// thread-safe; results never alias it.
   struct Workspace {
-    std::vector<double> x;
-    std::vector<double> next;
     la::DenseBlock block_x;
     la::DenseBlock block_next;
-    std::vector<float> x_f;
-    std::vector<float> next_f;
     la::DenseBlockF block_x_f;
     la::DenseBlockF block_next_f;
     std::vector<NodeId> frontier;
@@ -128,7 +125,8 @@ class Cpi {
 
   /// Runs CPI from an arbitrary distribution `q` (‖q‖₁ should be 1; scores
   /// scale linearly otherwise).  The seed vector is multiplied by c
-  /// internally, matching x(0) = c·q.
+  /// internally, matching x(0) = c·q.  Fails on invalid options, a size
+  /// mismatch, or an entry of q that is NaN, infinite or negative.
   template <typename V>
   static StatusOr<ResultT<V>> RunWithSeedVectorT(const Graph& graph,
                                                  const std::vector<V>& q,
@@ -144,20 +142,21 @@ class Cpi {
 
   /// Batched CPI: runs the window for B single-node seeds at once, sharing
   /// one SpMM sweep over the CSR arrays per iteration instead of B
-  /// independent SpMvTranspose sweeps.  The first iterations run sparse
-  /// over the batch's union frontier, the tail dense.  Vector b of the
-  /// returned block is bitwise-identical to RunT(graph, {seeds[b]},
-  /// options).scores — each seed's accumulation stops at exactly the
-  /// iteration where its own scalar run would have converged, and the
-  /// blocked kernels reproduce the scalar arithmetic per vector (see
-  /// CsrMatrixT::SpMmTranspose).  Fails on invalid options, an empty batch,
-  /// or an out-of-range seed.
+  /// independent sweeps.  This is the loop every entry point runs — RunT,
+  /// RunWithSeedVectorT and RunTopKT are its width-1 case.  The first
+  /// iterations run sparse over the batch's union frontier, the tail dense.
+  /// Vector b of the returned block is bitwise-identical to RunT(graph,
+  /// {seeds[b]}, options).scores — each seed's accumulation stops at
+  /// exactly the iteration where its own width-1 run would have converged,
+  /// and the blocked kernels' arithmetic per vector does not depend on the
+  /// width (see CsrMatrixT::SpMmTranspose).  Fails on invalid options, an
+  /// empty batch, or an out-of-range seed.
   ///
   /// `contexts`, when non-empty, must align index-for-index with `seeds`
   /// (null entries allowed).  An aborting seed is dropped from the batch
   /// through the same per-seed freeze the convergence check uses — it
   /// stops accumulating while the shared SpMM continues for the others —
-  /// so its vector is bitwise what the aborted scalar run returns; the
+  /// so its vector is bitwise what the aborted single-seed run returns; the
   /// abort is recorded only in its context (a block has no per-vector
   /// status channel).
   template <typename V>

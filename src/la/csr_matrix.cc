@@ -453,59 +453,6 @@ void SpMmTransposeFrontierRowsGeneric(const uint64_t* offsets,
 }  // namespace
 
 template <typename V>
-bool CsrMatrixT<V>::SpMvTransposeFrontier(const std::vector<V>& x,
-                                          std::span<const uint32_t> frontier,
-                                          double density_threshold,
-                                          std::vector<V>& y,
-                                          std::vector<uint32_t>& next_frontier,
-                                          FrontierScratch& scratch) const {
-  TPA_DCHECK(x.size() == rows());
-  if (static_cast<double>(frontier.size()) >
-      density_threshold * static_cast<double>(rows())) {
-    SpMvTranspose(x, y);
-    next_frontier.clear();
-    return false;
-  }
-  TPA_DCHECK(y.size() == cols());
-  scratch.BeginEpoch(cols());
-  next_frontier.clear();
-  if (rows() == 0) return true;
-  const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
-  DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    for (uint32_t r : frontier) {
-      const V xr = x[r];
-      if (xr == V{0}) continue;
-      const uint64_t begin = offsets[r];
-      const uint64_t end = offsets[r + 1];
-      if constexpr (decltype(vals)::kRowConstantWeight) {
-        if (begin == end) continue;
-        const V p = vals.Row(r) * xr;
-        for (uint64_t e = begin; e < end; ++e) {
-          const uint32_t dest = indices[e];
-          y[dest] += p;
-          if (scratch.touched_epoch[dest] != scratch.epoch) {
-            scratch.touched_epoch[dest] = scratch.epoch;
-            next_frontier.push_back(dest);
-          }
-        }
-      } else {
-        for (uint64_t e = begin; e < end; ++e) {
-          const uint32_t dest = indices[e];
-          y[dest] += vals.Edge(e) * xr;
-          if (scratch.touched_epoch[dest] != scratch.epoch) {
-            scratch.touched_epoch[dest] = scratch.epoch;
-            next_frontier.push_back(dest);
-          }
-        }
-      }
-    }
-  });
-  std::sort(next_frontier.begin(), next_frontier.end());
-  return true;
-}
-
-template <typename V>
 bool CsrMatrixT<V>::SpMmTransposeFrontier(const DenseBlockT<V>& x,
                                           std::span<const uint32_t> frontier,
                                           double density_threshold,

@@ -194,38 +194,28 @@ class CsrMatrixT {
   /// x.rows() == rows().
   void SpMmTranspose(const DenseBlockT<V>& x, DenseBlockT<V>& y) const;
 
-  /// Frontier-sparse scatter: the adaptive head of the propagation loop.
+  /// Frontier-sparse scatter: the adaptive head of the propagation loop
+  /// (CPI runs it at every width, a single seed at width 1).
   ///
-  /// `frontier` lists, in ascending order, a superset of the rows where x is
-  /// nonzero (rows listed with x[r] == 0 are skipped, exactly like the dense
-  /// kernel's zero-source skip).  y must be sized cols() and all-zero on
-  /// entry — the kernel only accumulates, so the caller keeps recycling one
-  /// buffer by re-zeroing the entries named in the previously emitted
-  /// frontier.  On return `next_frontier` holds the touched destinations,
-  /// sorted ascending — a superset of the nonzero entries of y, i.e. the
-  /// frontier of the next iteration.
+  /// `frontier` lists, in ascending order, a superset of the rows where any
+  /// of the B vectors of x is nonzero (the union frontier); block rows that
+  /// are entirely zero are skipped, exactly like the dense kernel's
+  /// zero-row skip.  y must be cols() × B and all-zero on entry — the
+  /// kernel only accumulates, so the caller keeps recycling one buffer by
+  /// re-zeroing the rows named in the previously emitted frontier.  On
+  /// return `next_frontier` holds the touched destinations, sorted
+  /// ascending — a superset of the nonzero rows of y, i.e. the frontier of
+  /// the next iteration.
   ///
   /// When the frontier is dense — frontier.size() > density_threshold ·
-  /// rows() — the kernel falls through to SpMvTranspose (full zero + full
+  /// rows() — the kernel falls through to SpMmTranspose (full zero + full
   /// scatter), leaves next_frontier empty, and returns false: the signal to
   /// stay on the dense kernels for the remaining iterations.
   ///
-  /// For inputs free of NaN/Inf/−0.0, y is bitwise-identical to
-  /// SpMvTranspose(x, y) either way: contributions accumulate per
-  /// destination in ascending source-row order, the dense kernel's order.
-  bool SpMvTransposeFrontier(const std::vector<V>& x,
-                             std::span<const uint32_t> frontier,
-                             double density_threshold, std::vector<V>& y,
-                             std::vector<uint32_t>& next_frontier,
-                             FrontierScratch& scratch) const;
-
-  /// Multi-vector frontier scatter: same contract as SpMvTransposeFrontier
-  /// with block operands.  `frontier` is a sorted superset of the rows where
-  /// any of the B vectors is nonzero (the union frontier); block rows that
-  /// are entirely zero are skipped like the dense kernel's zero-row skip.
-  /// y must be cols() × B and all-zero on entry.  Falls through to
-  /// SpMmTranspose above the density threshold (returns false).  Per vector
-  /// bitwise-identical to SpMmTranspose.
+  /// For inputs free of NaN/Inf/−0.0, y is per vector bitwise-identical to
+  /// SpMmTranspose — and so to SpMvTranspose of that vector alone — either
+  /// way: contributions accumulate per destination in ascending source-row
+  /// order, the dense kernel's order.
   bool SpMmTransposeFrontier(const DenseBlockT<V>& x,
                              std::span<const uint32_t> frontier,
                              double density_threshold, DenseBlockT<V>& y,

@@ -2,7 +2,7 @@
 #define TPA_LA_DENSE_BLOCK_H_
 
 #include <cstddef>
-#include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
@@ -13,19 +13,33 @@ namespace tpa::la {
 /// Minimal allocator aligning DenseBlock storage to cache-line boundaries,
 /// so an 8-vector block row is exactly one 64-byte line (not two straddled
 /// ones) in the SpMM scatter.
+///
+/// It aligns inside an ordinary allocation one line larger, keeping the
+/// base pointer just below the aligned address, instead of calling the
+/// aligned operator new: glibc's aligned allocation splits small fragments
+/// off every block, and a loop that allocates and frees multi-MB blocks —
+/// a Build + Preprocess rebuild cycle — then grows its heap every cycle.
 template <typename T>
 struct CacheAlignedAllocator {
   using value_type = T;
-  static constexpr std::align_val_t kAlignment{64};
+  static constexpr size_t kAlignment = 64;
 
   CacheAlignedAllocator() = default;
   template <typename U>
   CacheAlignedAllocator(const CacheAlignedAllocator<U>&) {}
 
   T* allocate(size_t n) {
-    return static_cast<T*>(::operator new(n * sizeof(T), kAlignment));
+    const size_t bytes = n * sizeof(T);
+    size_t space = bytes + kAlignment;
+    void* base = ::operator new(space + sizeof(void*));
+    void* aligned = static_cast<void**>(base) + 1;
+    std::align(kAlignment, bytes, aligned, space);  // one line of slack
+    static_cast<void**>(aligned)[-1] = base;
+    return static_cast<T*>(aligned);
   }
-  void deallocate(T* p, size_t) { ::operator delete(p, kAlignment); }
+  void deallocate(T* p, size_t) {
+    ::operator delete(reinterpret_cast<void**>(p)[-1]);
+  }
 
   template <typename U>
   bool operator==(const CacheAlignedAllocator<U>&) const {

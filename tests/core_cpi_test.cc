@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "graph/builder.h"
@@ -188,6 +189,27 @@ TEST(CpiTest, ValidatesArguments) {
   EXPECT_FALSE(Cpi::Run(graph, {0}, bad_threshold).ok());
   bad_threshold.frontier_density_threshold = -0.1;
   EXPECT_FALSE(Cpi::RunWindowed(graph, q, {0, 5}, bad_threshold).ok());
+
+  // Seed vector entries must be finite and non-negative: with a NaN entry
+  // ‖x‖₁ is NaN, `norm < ε` never holds, and the run would spin to
+  // terminal_iteration before returning NaN scores.
+  CpiOptions long_run;
+  long_run.terminal_iteration = 2'000'000;
+  const Graph graph_f =
+      RematerializeWithPrecision(graph, la::Precision::kFloat32);
+  for (double bad : {std::nan(""), std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity(), -0.5}) {
+    std::vector<double> poisoned(graph.num_nodes(), 0.0);
+    poisoned[0] = 1.0;
+    poisoned[7] = bad;
+    auto run = Cpi::RunWithSeedVector(graph, poisoned, long_run);
+    EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument) << bad;
+    auto windows = Cpi::RunWindowed(graph, poisoned, {0, 5}, {});
+    EXPECT_EQ(windows.status().code(), StatusCode::kInvalidArgument) << bad;
+    const std::vector<float> poisoned_f = la::ConvertVector<float>(poisoned);
+    auto run_f = Cpi::RunWithSeedVectorT<float>(graph_f, poisoned_f, long_run);
+    EXPECT_EQ(run_f.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 void ExpectResultBitwiseEq(const Cpi::Result& got, const Cpi::Result& expected,
@@ -198,6 +220,28 @@ void ExpectResultBitwiseEq(const Cpi::Result& got, const Cpi::Result& expected,
   ASSERT_EQ(got.scores.size(), expected.scores.size()) << label;
   for (size_t i = 0; i < expected.scores.size(); ++i) {
     ASSERT_EQ(got.scores[i], expected.scores[i]) << label << " node " << i;
+  }
+}
+
+/// ExpectResultBitwiseEq plus the abort fields.
+void ExpectEveryFieldBitwiseEq(const Cpi::Result& got,
+                               const Cpi::Result& expected,
+                               const std::string& label) {
+  ExpectResultBitwiseEq(got, expected, label);
+  EXPECT_EQ(got.abort_code, expected.abort_code) << label;
+  EXPECT_EQ(got.remaining_mass_bound, expected.remaining_mass_bound) << label;
+}
+
+void ExpectBlockBitwiseEq(const la::DenseBlock& got,
+                          const la::DenseBlock& expected,
+                          const std::string& label) {
+  ASSERT_EQ(got.rows(), expected.rows()) << label;
+  ASSERT_EQ(got.num_vectors(), expected.num_vectors()) << label;
+  for (size_t r = 0; r < expected.rows(); ++r) {
+    for (size_t b = 0; b < expected.num_vectors(); ++b) {
+      ASSERT_EQ(got.At(r, b), expected.At(r, b))
+          << label << " row " << r << " vector " << b;
+    }
   }
 }
 
@@ -289,6 +333,68 @@ TEST(CpiAdaptiveTest, ReusedWorkspaceIsBitwiseStable) {
           << "window " << w << " node " << i;
     }
   }
+
+  // Single-seed and batched calls share the workspace's block buffers (Tpa's
+  // WorkspacePool mixes them in production): a width-16 batch, then a
+  // width-1 call of every kind, then a width-3 batch — each bitwise a
+  // fresh-workspace call, every result field included.
+  std::vector<NodeId> wide;
+  for (NodeId i = 0; i < 16; ++i) wide.push_back((i * 37 + 2) % 300);
+  auto reused_16 = Cpi::RunBatch(graph, wide, {}, &workspace);
+  auto fresh_16 = Cpi::RunBatch(graph, wide, {});
+  ASSERT_TRUE(reused_16.ok());
+  ASSERT_TRUE(fresh_16.ok());
+  ExpectBlockBitwiseEq(*reused_16, *fresh_16, "width-16 batch");
+
+  // An aborted run sets abort_code and remaining_mass_bound too.
+  std::atomic<bool> cancelled{true};
+  QueryContext reused_context;
+  reused_context.cancel = &cancelled;
+  reused_context.min_iterations = 3;
+  QueryContext fresh_context = reused_context;
+  auto reused_abort = Cpi::Run(graph, {77}, {}, &workspace, &reused_context);
+  auto fresh_abort = Cpi::Run(graph, {77}, {}, nullptr, &fresh_context);
+  ASSERT_TRUE(reused_abort.ok());
+  ASSERT_TRUE(fresh_abort.ok());
+  EXPECT_EQ(reused_abort->abort_code, StatusCode::kCancelled);
+  EXPECT_GT(reused_abort->remaining_mass_bound, 0.0);
+  ExpectEveryFieldBitwiseEq(*reused_abort, *fresh_abort, "aborted run");
+  auto reused_run = Cpi::Run(graph, {77}, family_window, &workspace);
+  auto fresh_run = Cpi::Run(graph, {77}, family_window);
+  ASSERT_TRUE(reused_run.ok());
+  ASSERT_TRUE(fresh_run.ok());
+  ExpectEveryFieldBitwiseEq(*reused_run, *fresh_run, "run after batch");
+
+  Cpi::TopKRunOptions topk;
+  topk.k = 10;
+  auto reused_k = Cpi::RunTopKT<double>(graph, {5}, {}, topk, {}, &workspace);
+  auto fresh_k = Cpi::RunTopKT<double>(graph, {5}, {}, topk);
+  ASSERT_TRUE(reused_k.ok());
+  ASSERT_TRUE(fresh_k.ok());
+  EXPECT_EQ(reused_k->last_iteration, fresh_k->last_iteration);
+  EXPECT_EQ(reused_k->converged, fresh_k->converged);
+  EXPECT_EQ(reused_k->early_terminated, fresh_k->early_terminated);
+  ASSERT_EQ(reused_k->top.size(), fresh_k->top.size());
+  for (size_t i = 0; i < fresh_k->top.size(); ++i) {
+    EXPECT_EQ(reused_k->top[i].node, fresh_k->top[i].node) << i;
+    EXPECT_EQ(reused_k->top[i].score, fresh_k->top[i].score) << i;
+  }
+
+  std::vector<double> spread(graph.num_nodes(), 0.0);
+  spread[13] = 0.5;
+  spread[200] = 0.5;
+  auto reused_q = Cpi::RunWithSeedVector(graph, spread, {}, &workspace);
+  auto fresh_q = Cpi::RunWithSeedVector(graph, spread, {});
+  ASSERT_TRUE(reused_q.ok());
+  ASSERT_TRUE(fresh_q.ok());
+  ExpectEveryFieldBitwiseEq(*reused_q, *fresh_q, "seed vector");
+
+  const std::vector<NodeId> narrow = {250, 3, 250};
+  auto reused_3 = Cpi::RunBatch(graph, narrow, {}, &workspace);
+  auto fresh_3 = Cpi::RunBatch(graph, narrow, {});
+  ASSERT_TRUE(reused_3.ok());
+  ASSERT_TRUE(fresh_3.ok());
+  ExpectBlockBitwiseEq(*reused_3, *fresh_3, "width-3 batch");
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "graph/generators.h"
@@ -26,6 +27,28 @@ TEST(DenseBlockTest, ShapeAndAccessors) {
   EXPECT_EQ(block.At(2, 1), 7.5);
   // The B entries of one block row are contiguous.
   EXPECT_EQ(block.RowPtr(2)[1], 7.5);
+}
+
+TEST(DenseBlockTest, StorageStaysCacheLineAligned) {
+  // Every block row of width 8 (fp64) or 16 (fp32) must be one 64-byte
+  // line, through construction, growth and reshaping alike.
+  la::DenseBlock block;
+  la::DenseBlockF block_f;
+  for (size_t rows : {size_t{1}, size_t{3}, size_t{1000}, size_t{131072}}) {
+    for (size_t width : {size_t{1}, size_t{3}, size_t{8}, size_t{16}}) {
+      block.Resize(rows, width);
+      block_f.Resize(rows, width);
+      block.SetZero();
+      block.At(rows - 1, width - 1) = 2.5;
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(block.RowPtr(0)) % 64, 0u)
+          << rows << " x " << width;
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(block_f.RowPtr(0)) % 64, 0u)
+          << rows << " x " << width;
+      la::DenseBlock copy = block;
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(copy.RowPtr(0)) % 64, 0u);
+      EXPECT_EQ(copy.At(rows - 1, width - 1), 2.5);
+    }
+  }
 }
 
 TEST(DenseBlockTest, VectorRoundTrip) {

@@ -62,8 +62,18 @@ std::vector<uint32_t> FillSparse(std::vector<double>& x, size_t support_size,
   return support;
 }
 
+/// x as a width-1 block: the operand shape of the frontier scatter CPI
+/// runs for a single seed.
+la::DenseBlock Column(const std::vector<double>& x) {
+  la::DenseBlock block(x.size(), 1);
+  block.SetVector(0, x);
+  return block;
+}
+
 class FrontierKernelTest : public ::testing::TestWithParam<uint64_t> {};
 
+// The width-1 frontier scatter — the kernel a single-seed CPI runs — is
+// bitwise the scalar dense SpMvTranspose.
 TEST_P(FrontierKernelTest, SpMvMatchesDenseBitwise) {
   Graph graph = TestGraph(GetParam());
   const la::CsrMatrix& csr = graph.Transition();
@@ -77,12 +87,12 @@ TEST_P(FrontierKernelTest, SpMvMatchesDenseBitwise) {
     std::vector<double> dense;
     csr.SpMvTranspose(x, dense);
 
-    std::vector<double> sparse(n, 0.0);
+    la::DenseBlock sparse(n, 1);
     std::vector<uint32_t> next_frontier;
     la::FrontierScratch scratch;
-    ASSERT_TRUE(csr.SpMvTransposeFrontier(x, frontier, 1.0, sparse,
+    ASSERT_TRUE(csr.SpMmTransposeFrontier(Column(x), frontier, 1.0, sparse,
                                           next_frontier, scratch));
-    ExpectBitwiseEq(sparse, dense,
+    ExpectBitwiseEq(sparse.ExtractVector(0), dense,
                     "support " + std::to_string(support_size));
 
     // The emitted frontier is sorted, unique, and a superset of the
@@ -116,12 +126,12 @@ TEST_P(FrontierKernelTest, FrontierMayListZeroRows) {
 
   std::vector<double> dense;
   csr.SpMvTranspose(x, dense);
-  std::vector<double> sparse(n, 0.0);
+  la::DenseBlock sparse(n, 1);
   std::vector<uint32_t> next_frontier;
   la::FrontierScratch scratch;
-  ASSERT_TRUE(csr.SpMvTransposeFrontier(x, frontier, 1.0, sparse,
+  ASSERT_TRUE(csr.SpMmTransposeFrontier(Column(x), frontier, 1.0, sparse,
                                         next_frontier, scratch));
-  ExpectBitwiseEq(sparse, dense, "padded frontier");
+  ExpectBitwiseEq(sparse.ExtractVector(0), dense, "padded frontier");
 }
 
 TEST_P(FrontierKernelTest, DenseFallthroughAboveThreshold) {
@@ -137,12 +147,13 @@ TEST_P(FrontierKernelTest, DenseFallthroughAboveThreshold) {
 
   // Threshold 0 forces the fallthrough regardless of frontier size; the
   // buffer need not be pre-zeroed because the dense kernel zeroes it.
-  std::vector<double> fell(n, 123.0);
+  la::DenseBlock fell(n, 1);
+  fell.SetVector(0, std::vector<double>(n, 123.0));
   std::vector<uint32_t> next_frontier = {7};
   la::FrontierScratch scratch;
-  EXPECT_FALSE(csr.SpMvTransposeFrontier(x, frontier, 0.0, fell,
+  EXPECT_FALSE(csr.SpMmTransposeFrontier(Column(x), frontier, 0.0, fell,
                                          next_frontier, scratch));
-  ExpectBitwiseEq(fell, dense, "fallthrough");
+  ExpectBitwiseEq(fell.ExtractVector(0), dense, "fallthrough");
   EXPECT_TRUE(next_frontier.empty());
 }
 
@@ -197,19 +208,19 @@ TEST_P(FrontierKernelTest, RecycledBufferChainMatchesDense) {
   const la::CsrMatrix& csr = graph.Transition();
   const uint32_t n = csr.rows();
 
-  std::vector<double> x(n, 0.0);
-  x[GetParam() % n] = 1.0;
+  la::DenseBlock x(n, 1);
+  x.At(GetParam() % n, 0) = 1.0;
   std::vector<uint32_t> frontier = {static_cast<uint32_t>(GetParam() % n)};
-  std::vector<double> next(n, 0.0);
+  la::DenseBlock next(n, 1);
   std::vector<uint32_t> next_frontier;
   la::FrontierScratch scratch;
 
-  std::vector<double> dense_x = x;
+  std::vector<double> dense_x = x.ExtractVector(0);
   std::vector<double> dense_next;
 
   for (int iter = 0; iter < 4; ++iter) {
-    for (uint32_t j : next_frontier) next[j] = 0.0;
-    ASSERT_TRUE(csr.SpMvTransposeFrontier(x, frontier, 1.0, next,
+    for (uint32_t j : next_frontier) next.At(j, 0) = 0.0;
+    ASSERT_TRUE(csr.SpMmTransposeFrontier(x, frontier, 1.0, next,
                                           next_frontier, scratch));
     x.swap(next);
     frontier.swap(next_frontier);
@@ -217,7 +228,8 @@ TEST_P(FrontierKernelTest, RecycledBufferChainMatchesDense) {
     csr.SpMvTranspose(dense_x, dense_next);
     dense_x.swap(dense_next);
 
-    ExpectBitwiseEq(x, dense_x, "iteration " + std::to_string(iter));
+    ExpectBitwiseEq(x.ExtractVector(0), dense_x,
+                    "iteration " + std::to_string(iter));
   }
 }
 

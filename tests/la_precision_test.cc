@@ -85,13 +85,16 @@ void CheckPrecisionKernels(const la::CsrMatrixF& a, uint64_t seed,
   // fallthrough possible below rows+1): must equal the dense scatter and
   // emit a superset of y's support.
   if (a.rows() > 0) {
-    std::vector<float> yf(a.cols(), 0.0f);
+    la::DenseBlockF xf(a.rows(), 1);
+    xf.SetVector(0, x_rows);
+    la::DenseBlockF yf_block(a.cols(), 1);
     std::vector<uint32_t> next_frontier;
     la::FrontierScratch scratch;
-    const bool stayed = a.SpMvTransposeFrontier(
-        x_rows, FullFrontier(a.rows()), 1.0, yf, next_frontier, scratch);
+    const bool stayed = a.SpMmTransposeFrontier(
+        xf, FullFrontier(a.rows()), 1.0, yf_block, next_frontier, scratch);
     EXPECT_TRUE(stayed) << label;
-    ExpectBitwiseEq(yf, yt, label + " SpMvTransposeFrontier");
+    ExpectBitwiseEq(yf_block.ExtractVector(0), yt,
+                    label + " SpMmTransposeFrontier width 1");
     for (size_t c = 0; c < yt.size(); ++c) {
       if (yt[c] != 0.0f) {
         EXPECT_TRUE(std::binary_search(next_frontier.begin(),

@@ -104,7 +104,8 @@ void CheckValueFreeBitwise(const la::CsrMatrixT<V>& vf, uint64_t seed,
     ExpectBitwiseEq(by_vf, by_ex, wlabel + " SpMmTranspose");
   }
 
-  // Frontier scatter: a sparse x supported on a few rows, full pipeline.
+  // Frontier scatter at width 1 (the single-seed CPI head): a sparse x
+  // supported on a few rows, full pipeline, pinned against SpMvTranspose.
   {
     std::vector<V> sparse(vf.rows(), V{0});
     std::vector<uint32_t> frontier;
@@ -112,16 +113,22 @@ void CheckValueFreeBitwise(const la::CsrMatrixT<V>& vf, uint64_t seed,
       sparse[r] = static_cast<V>(0.25 + 0.125 * r);
       frontier.push_back(r);
     }
+    la::DenseBlockT<V> sx(vf.rows(), 1);
+    sx.SetVector(0, sparse);
     la::FrontierScratch scratch_vf, scratch_ex;
-    std::vector<V> sy_vf(vf.cols(), V{0}), sy_ex(vf.cols(), V{0});
+    la::DenseBlockT<V> sy_vf(vf.cols(), 1), sy_ex(vf.cols(), 1);
     std::vector<uint32_t> next_vf, next_ex;
-    const bool sparse_vf = vf.SpMvTransposeFrontier(sparse, frontier, 1.5,
-                                                    sy_vf, next_vf, scratch_vf);
-    const bool sparse_ex = ex.SpMvTransposeFrontier(sparse, frontier, 1.5,
-                                                    sy_ex, next_ex, scratch_ex);
+    const bool sparse_vf = vf.SpMmTransposeFrontier(sx, frontier, 1.5, sy_vf,
+                                                    next_vf, scratch_vf);
+    const bool sparse_ex = ex.SpMmTransposeFrontier(sx, frontier, 1.5, sy_ex,
+                                                    next_ex, scratch_ex);
     ASSERT_EQ(sparse_vf, sparse_ex) << label;
-    ExpectBitwiseEq(sy_vf, sy_ex, label + " SpMvTransposeFrontier");
+    ExpectBitwiseEq(sy_vf, sy_ex, label + " SpMmTransposeFrontier width 1");
     EXPECT_EQ(next_vf, next_ex) << label;
+    std::vector<V> dense;
+    ex.SpMvTranspose(sparse, dense);
+    ExpectBitwiseEq(sy_vf.ExtractVector(0), dense,
+                    label + " SpMmTransposeFrontier width 1 vs SpMvTranspose");
   }
 }
 
