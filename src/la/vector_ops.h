@@ -121,17 +121,6 @@ std::vector<To> ConvertVector(const std::vector<From>& x) {
 /// per-element arithmetic, so vector b of a blocked result is
 /// bitwise-identical to the scalar op run on vector b alone.
 
-/// Y += alpha * X.  Shapes must match.
-template <typename V>
-void BlockAxpy(double alpha, const DenseBlockT<V>& x, DenseBlockT<V>& y) {
-  TPA_DCHECK(x.rows() == y.rows());
-  TPA_DCHECK(x.num_vectors() == y.num_vectors());
-  const size_t n = x.rows() * x.num_vectors();
-  const V* xs = x.RowPtr(0);
-  V* ys = y.RowPtr(0);
-  for (size_t i = 0; i < n; ++i) ys[i] += alpha * xs[i];
-}
-
 /// X *= alpha.
 template <typename V>
 void BlockScale(double alpha, DenseBlockT<V>& x) {
@@ -152,20 +141,6 @@ void BlockAddVector(double alpha, const std::vector<V>& v,
     V* yr = y.RowPtr(r);
     for (size_t b = 0; b < num_vectors; ++b) yr[b] += add;
   }
-}
-
-/// Per-vector L1 norms: result[b] = ‖X[·][b]‖₁, accumulated in fp64 in row
-/// order (bitwise-identical to NormL1 of the extracted vector).
-template <typename V>
-std::vector<double> BlockColumnNormsL1(const DenseBlockT<V>& x) {
-  std::vector<double> norms(x.num_vectors(), 0.0);
-  for (size_t r = 0; r < x.rows(); ++r) {
-    const V* xr = x.RowPtr(r);
-    for (size_t b = 0; b < norms.size(); ++b) {
-      norms[b] += std::abs(static_cast<double>(xr[b]));
-    }
-  }
-  return norms;
 }
 
 }  // namespace tpa::la

@@ -24,8 +24,10 @@ enum class LoadMode {
   /// O(nnz) is copied.  The warm-start default.
   kMap,
   /// Copy every section into heap vectors and close the mapping before
-  /// returning — for writable paths or when the snapshot file may be
-  /// replaced/truncated underneath a long-lived process.
+  /// returning — for files some external writer may modify or truncate in
+  /// place.  Replacing the file through SaveSnapshot/WriteSnapshot is safe
+  /// under kMap: the write lands in a new inode that is renamed over the
+  /// path, and the existing mapping keeps the old one.
   kCopy,
 };
 
@@ -34,9 +36,11 @@ struct LoadOptions {
   /// Verify per-section checksums and structural invariants (offset
   /// monotonicity, index ranges) before trusting the file.  The default;
   /// turning it off skips the O(file) verification passes and is only safe
-  /// for files this process just wrote and fsync'd.  Header and section-
-  /// table sanity (magic, version, endianness, bounds, sizes) are always
-  /// checked either way — a corrupt file yields a Status, never a crash.
+  /// for a file this host just wrote.  WriteSnapshot does not fsync, so a
+  /// file that lived through a crash, a copy or another disk needs verify.
+  /// Header and section-table sanity (magic, version, endianness, bounds,
+  /// sizes) are always checked either way — a corrupt file yields a
+  /// Status, never a crash.
   bool verify = true;
   /// Paging-pattern hint applied to the whole mapping after a kMap load
   /// (ignored under kCopy).  kSequential suits the propagation sweeps of a
@@ -92,6 +96,9 @@ struct LoadedSnapshot {
 /// Serializes the Tpa's full preprocessed state — graph topology, value
 /// layers of every materialized tier, permutation, stranger tail + order,
 /// and TpaOptions — into a versioned, checksummed snapshot at `path`.
+/// The file is written beside `path` and renamed over it on success, so a
+/// process serving the old file from a kMap load keeps its old bytes, and
+/// a failed write leaves `path` untouched (see BinaryFileWriter).
 Status WriteSnapshot(const Tpa& tpa, const std::string& path);
 
 /// Opens a snapshot and reassembles the serving state.  A query against the

@@ -7,9 +7,11 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <functional>
+#include <string>
 #include <utility>
 
 #include "util/failpoint.h"
@@ -18,18 +20,35 @@ namespace tpa {
 
 namespace {
 
-/// The CRC-32 lookup table for the reflected IEEE polynomial 0xEDB88320,
-/// built once at static-init time.
-std::array<uint32_t, 256> MakeCrc32Table() {
-  std::array<uint32_t, 256> table;
+/// The slice-by-16 CRC-32 tables for the reflected IEEE polynomial
+/// 0xEDB88320, built once at first use.  tables[0] is the classic byte
+/// table; tables[k][b] is the CRC contribution of byte b followed by k zero
+/// bytes, so one lookup per byte folds 16 bytes at a time.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 16>;
+
+Crc32Tables MakeCrc32Tables() {
+  Crc32Tables tables;
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
+}
+
+/// Little-endian 32-bit word at `p`, independent of the host byte order
+/// (compilers fold this into one load on little-endian targets).
+uint32_t LoadLe32(const uint8_t* p) {
+  return uint32_t{p[0]} | uint32_t{p[1]} << 8 | uint32_t{p[2]} << 16 |
+         uint32_t{p[3]} << 24;
 }
 
 Status ErrnoError(const std::string& action, const std::string& path) {
@@ -96,11 +115,27 @@ int ToMadvise(MappedAdvice advice) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
-  static const std::array<uint32_t, 256> table = MakeCrc32Table();
+  static const Crc32Tables t = MakeCrc32Tables();
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xFFu];
+  for (; size >= 16; size -= 16, bytes += 16) {
+    // Byte j of the block is followed by 15 - j more, so it indexes
+    // t[15 - j]; the running CRC folds into the first word.
+    const uint32_t w0 = LoadLe32(bytes) ^ crc;
+    const uint32_t w1 = LoadLe32(bytes + 4);
+    const uint32_t w2 = LoadLe32(bytes + 8);
+    const uint32_t w3 = LoadLe32(bytes + 12);
+    crc = t[15][w0 & 0xFFu] ^ t[14][(w0 >> 8) & 0xFFu];
+    crc ^= t[13][(w0 >> 16) & 0xFFu] ^ t[12][w0 >> 24];
+    crc ^= t[11][w1 & 0xFFu] ^ t[10][(w1 >> 8) & 0xFFu];
+    crc ^= t[9][(w1 >> 16) & 0xFFu] ^ t[8][w1 >> 24];
+    crc ^= t[7][w2 & 0xFFu] ^ t[6][(w2 >> 8) & 0xFFu];
+    crc ^= t[5][(w2 >> 16) & 0xFFu] ^ t[4][w2 >> 24];
+    crc ^= t[3][w3 & 0xFFu] ^ t[2][(w3 >> 8) & 0xFFu];
+    crc ^= t[1][(w3 >> 16) & 0xFFu] ^ t[0][w3 >> 24];
+  }
+  for (; size > 0; --size, ++bytes) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFFu];
   }
   return ~crc;
 }
@@ -199,25 +234,52 @@ Status MappedFile::Advise(MappedAdvice advice, size_t offset,
 }
 
 StatusOr<BinaryFileWriter> BinaryFileWriter::Create(const std::string& path) {
-  std::FILE* file = std::fopen(path.c_str(), "wb");
-  if (file == nullptr) return ErrnoError("cannot create", path);
-  BinaryFileWriter writer;
-  writer.file_ = file;
-  return writer;
+  // The pid and a per-process counter make the name unique; O_EXCL turns a
+  // stale file from an earlier process with the same pid into a retry.
+  static std::atomic<uint64_t> next_id{0};
+  constexpr int kFlags = O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC;
+  const std::string prefix = path + ".tmp." + std::to_string(::getpid()) + ".";
+  for (int attempt = 0;; ++attempt) {
+    std::string temp_path = prefix + std::to_string(next_id.fetch_add(1));
+    const int fd = ::open(temp_path.c_str(), kFlags, 0666);
+    if (fd < 0) {
+      if (errno == EEXIST && attempt < 100) continue;
+      return ErrnoError("cannot create", path);
+    }
+    std::FILE* file = ::fdopen(fd, "wb");
+    if (file == nullptr) {
+      const Status status = ErrnoError("cannot open", temp_path);
+      ::close(fd);
+      ::unlink(temp_path.c_str());
+      return status;
+    }
+    BinaryFileWriter writer;
+    writer.file_ = file;
+    writer.path_ = path;
+    writer.temp_path_ = std::move(temp_path);
+    return writer;
+  }
 }
 
 BinaryFileWriter& BinaryFileWriter::operator=(
     BinaryFileWriter&& other) noexcept {
   if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
+    Discard();
     file_ = std::exchange(other.file_, nullptr);
     offset_ = std::exchange(other.offset_, 0);
+    path_ = std::move(other.path_);
+    temp_path_ = std::move(other.temp_path_);
   }
   return *this;
 }
 
-BinaryFileWriter::~BinaryFileWriter() {
-  if (file_ != nullptr) std::fclose(file_);
+BinaryFileWriter::~BinaryFileWriter() { Discard(); }
+
+void BinaryFileWriter::Discard() {
+  if (file_ == nullptr) return;
+  std::fclose(file_);
+  file_ = nullptr;
+  ::unlink(temp_path_.c_str());
 }
 
 Status BinaryFileWriter::WriteBytes(const void* data, size_t size) {
@@ -253,7 +315,15 @@ Status BinaryFileWriter::Close() {
   }
   const int status = std::fclose(file_);
   file_ = nullptr;
-  if (status != 0) return InternalError("cannot flush snapshot file");
+  if (status != 0) {
+    ::unlink(temp_path_.c_str());
+    return InternalError("cannot flush snapshot file");
+  }
+  if (::rename(temp_path_.c_str(), path_.c_str()) != 0) {
+    const Status error = ErrnoError("cannot rename temp file over", path_);
+    ::unlink(temp_path_.c_str());
+    return error;
+  }
   return OkStatus();
 }
 

@@ -145,32 +145,24 @@ TEST(SpMmTest, SmallMatrixKnownValues) {
 TEST(BlockVectorOpsTest, MatchScalarOpsBitwise) {
   const size_t rows = 200;
   const size_t num_vectors = 5;
-  la::DenseBlock x = RandomBlock(rows, num_vectors, 3);
   la::DenseBlock y = RandomBlock(rows, num_vectors, 4);
 
-  std::vector<std::vector<double>> xs(num_vectors), ys(num_vectors);
-  for (size_t b = 0; b < num_vectors; ++b) {
-    xs[b] = x.ExtractVector(b);
-    ys[b] = y.ExtractVector(b);
-  }
+  std::vector<std::vector<double>> ys(num_vectors);
+  for (size_t b = 0; b < num_vectors; ++b) ys[b] = y.ExtractVector(b);
 
-  la::BlockAxpy(0.75, x, y);
   la::BlockScale(1.25, y);
   Rng rng(6);
   std::vector<double> shared(rows);
   for (double& v : shared) v = rng.NextDouble();
   la::BlockAddVector(-0.5, shared, y);
-  const std::vector<double> norms = la::BlockColumnNormsL1(y);
 
   for (size_t b = 0; b < num_vectors; ++b) {
-    la::Axpy(0.75, xs[b], ys[b]);
     la::Scale(1.25, ys[b]);
     la::Axpy(-0.5, shared, ys[b]);
     const std::vector<double> got = y.ExtractVector(b);
     for (size_t r = 0; r < rows; ++r) {
       EXPECT_EQ(got[r], ys[b][r]) << "vector " << b << " row " << r;
     }
-    EXPECT_EQ(norms[b], la::NormL1(ys[b])) << "vector " << b;
   }
 }
 

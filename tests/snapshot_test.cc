@@ -5,7 +5,8 @@
 /// the fresh-preprocess results; the corruption matrix (truncation, bad
 /// magic/version/endianness, checksum flips, an overflowing edge count)
 /// surfacing as Status errors —
-/// never crashes; and mmap-view lifetime under ASan.
+/// never crashes; mmap-view lifetime under ASan; and a rewrite of the
+/// file a kMap load is serving, which must not reach the old mapping.
 
 #include "snapshot/snapshot.h"
 
@@ -15,7 +16,9 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <utility>
@@ -313,6 +316,47 @@ TEST_F(SnapshotTest, MappedViewsOutliveTheLoadedSnapshotBundle) {
   for (NodeId seed : {NodeId{1}, NodeId{99}}) {
     EXPECT_EQ(loaded_tpa->Query(seed), fresh.Query(seed));
   }
+}
+
+/// Rewriting the path a kMap load is serving from must not reach the old
+/// mapping: the new snapshot (a smaller graph, so an in-place truncation
+/// would fault the old pages past the new end) replaces the file by
+/// rename, the old Tpa keeps answering from the old bytes, and a fresh load
+/// sees the new graph.  A write that cannot start leaves no file behind.
+TEST_F(SnapshotTest, RewriteWhileMappedKeepsServing) {
+  RmatOptions rmat;
+  rmat.scale = 10;
+  rmat.edges = 16384;
+  rmat.seed = 7;
+  auto big_graph = GenerateRmat(rmat, BuildOptions{});
+  ASSERT_TRUE(big_graph.ok()) << big_graph.status().message();
+  ASSERT_TRUE(MakeTpa(*big_graph).SaveSnapshot(path_).ok());
+
+  auto served = Tpa::LoadSnapshot(path_);
+  ASSERT_TRUE(served.ok()) << served.status().message();
+  ASSERT_NE(served->mapped_file, nullptr);
+  const NodeId seeds[] = {0, 5, 1000};
+  std::vector<std::vector<double>> before;
+  for (NodeId seed : seeds) before.push_back(served->tpa->Query(seed));
+
+  const Graph small_graph =
+      MakeGraph(la::Precision::kFloat64, ValueStorage::kExplicit);
+  ASSERT_LT(small_graph.num_nodes(), big_graph->num_nodes());
+  const Tpa small = MakeTpa(small_graph);
+  ASSERT_TRUE(small.SaveSnapshot(path_).ok());
+
+  for (size_t i = 0; i < std::size(seeds); ++i) {
+    EXPECT_EQ(served->tpa->Query(seeds[i]), before[i]) << "seed " << seeds[i];
+  }
+  auto reloaded = Tpa::LoadSnapshot(path_);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().message();
+  EXPECT_EQ(reloaded->graph->num_nodes(), small_graph.num_nodes());
+  EXPECT_EQ(reloaded->graph->num_edges(), small_graph.num_edges());
+  EXPECT_EQ(reloaded->tpa->Query(5), small.Query(5));
+
+  const std::string missing_dir = path_ + ".no_such_dir";
+  EXPECT_FALSE(small.SaveSnapshot(missing_dir + "/x.tpasnap").ok());
+  EXPECT_FALSE(std::filesystem::exists(missing_dir));
 }
 
 /// A kMap load exposes its backing mapping (the handle a bounded-RSS

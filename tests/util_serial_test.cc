@@ -1,5 +1,6 @@
-/// Serialization utilities: CRC-32 against published vectors, the aligned
-/// binary writer's layout contract, and MappedFile's mmap RAII.
+/// Serialization utilities: CRC-32 against published vectors and the
+/// byte-at-a-time reference loop, the aligned binary writer's layout and
+/// replace-on-Close contracts, and MappedFile's mmap RAII.
 
 #include "util/serial.h"
 
@@ -9,7 +10,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -27,6 +30,35 @@ class SerialTest : public ::testing::Test {
 
   std::string path_;
 };
+
+/// The byte-at-a-time table loop over the same polynomial: the reference
+/// the slice-by-16 Crc32 must match value for value.
+uint32_t ReferenceCrc32(const void* data, size_t size, uint32_t seed = 0) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      }
+      t[i] = crc;
+    }
+    return t;
+  }();
+  const uint8_t* bytes = static_cast<const uint8_t*>(data);
+  uint32_t crc = ~seed;
+  for (size_t i = 0; i < size; ++i) {
+    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xFFu];
+  }
+  return ~crc;
+}
+
+std::vector<uint8_t> RandomBytes(size_t size, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<uint8_t> bytes(size);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng());
+  return bytes;
+}
 
 TEST(Crc32Test, MatchesPublishedVectors) {
   // The standard CRC-32 check value.
@@ -51,6 +83,52 @@ TEST(Crc32Test, DetectsSingleBitFlips) {
     EXPECT_NE(Crc32(data.data(), data.size()), clean) << "flip at " << i;
     data[i] ^= 0x01;
   }
+}
+
+/// Every length through several 16-byte blocks plus every tail, at every
+/// start offset within a block, so unaligned words and all 16 tail sizes
+/// are covered.
+TEST(Crc32Test, MatchesByteLoopAtEveryLengthAndAlignment) {
+  const std::vector<uint8_t> data = RandomBytes(4096 + 16, 1);
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 4096; ++length) {
+      ASSERT_EQ(Crc32(data.data() + offset, length),
+                ReferenceCrc32(data.data() + offset, length))
+          << "offset " << offset << " length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, MatchesByteLoopWithRandomSeeds) {
+  const std::vector<uint8_t> data = RandomBytes(1000, 2);
+  std::mt19937_64 rng(3);
+  for (int i = 0; i < 2000; ++i) {
+    const uint32_t seed = static_cast<uint32_t>(rng()) | 1u;  // nonzero
+    const size_t offset = rng() % 16;
+    const size_t length = rng() % (data.size() - offset + 1);
+    ASSERT_EQ(Crc32(data.data() + offset, length, seed),
+              ReferenceCrc32(data.data() + offset, length, seed))
+        << "seed " << seed << " offset " << offset << " length " << length;
+  }
+}
+
+TEST(Crc32Test, ChainsAtEverySplitPoint) {
+  const std::vector<uint8_t> data = RandomBytes(257, 4);
+  const uint32_t whole = ReferenceCrc32(data.data(), data.size());
+  ASSERT_EQ(Crc32(data.data(), data.size()), whole);
+  for (size_t split = 0; split <= data.size(); ++split) {
+    const uint32_t head = Crc32(data.data(), split);
+    EXPECT_EQ(Crc32(data.data() + split, data.size() - split, head), whole)
+        << "split at " << split;
+  }
+}
+
+TEST(Crc32Test, MatchesByteLoopOnALargeBuffer) {
+  const std::vector<uint8_t> data = RandomBytes((size_t{1} << 20) + 13, 5);
+  EXPECT_EQ(Crc32(data.data(), data.size()),
+            ReferenceCrc32(data.data(), data.size()));
+  EXPECT_EQ(Crc32(data.data() + 3, data.size() - 3, 0xDEADBEEFu),
+            ReferenceCrc32(data.data() + 3, data.size() - 3, 0xDEADBEEFu));
 }
 
 TEST_F(SerialTest, WriterTracksOffsetAndAligns) {
@@ -87,6 +165,53 @@ TEST_F(SerialTest, WriterRejectsUseAfterClose) {
   EXPECT_EQ(writer->WriteBytes("x", 1).code(),
             StatusCode::kFailedPrecondition);
   EXPECT_EQ(writer->Close().code(), StatusCode::kFailedPrecondition);
+}
+
+/// The writer fills a sibling temp file; `path` keeps its old bytes until
+/// Close() renames the new file over it, and an abandoned writer leaves
+/// neither a changed `path` nor a temp file behind.
+TEST_F(SerialTest, WriterReplacesThePathOnlyOnClose) {
+  const auto read_path = [this] {
+    std::ifstream in(path_, std::ios::binary);
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+  };
+  const auto temp_files = [this] {
+    const std::filesystem::path path(path_);
+    const std::string prefix = path.filename().string() + ".tmp.";
+    size_t count = 0;
+    for (const auto& entry :
+         std::filesystem::directory_iterator(path.parent_path())) {
+      if (entry.path().filename().string().rfind(prefix, 0) == 0) ++count;
+    }
+    return count;
+  };
+  {
+    auto writer = BinaryFileWriter::Create(path_);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer->WriteBytes("old", 3).ok());
+    ASSERT_TRUE(writer->Close().ok());
+  }
+  EXPECT_EQ(read_path(), "old");
+  EXPECT_EQ(temp_files(), 0u);
+  {
+    auto abandoned = BinaryFileWriter::Create(path_);
+    ASSERT_TRUE(abandoned.ok());
+    ASSERT_TRUE(abandoned->WriteBytes("abandoned", 9).ok());
+    EXPECT_EQ(temp_files(), 1u);
+    EXPECT_EQ(read_path(), "old");
+  }
+  EXPECT_EQ(read_path(), "old");
+  EXPECT_EQ(temp_files(), 0u);
+  {
+    auto writer = BinaryFileWriter::Create(path_);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer->WriteBytes("newer", 5).ok());
+    EXPECT_EQ(read_path(), "old");
+    ASSERT_TRUE(writer->Close().ok());
+  }
+  EXPECT_EQ(read_path(), "newer");
+  EXPECT_EQ(temp_files(), 0u);
 }
 
 TEST_F(SerialTest, MappedFileRoundTrips) {
