@@ -7,6 +7,9 @@
 /// rebuild + Tpa::Preprocess versus opening a snapshot file and mmapping
 /// its sections.  `--json PATH` records the cold-start rows machine-
 /// readably (the CI BENCH_*.json artifact; not regression-gated).
+///
+/// TPA preprocesses on one thread in both tables, as every baseline does,
+/// so the comparison stays like-for-like.
 
 #include <cstdio>
 #include <fstream>
@@ -49,6 +52,7 @@ StatusOr<ColdStartRow> MeasureColdStart(const DatasetSpec& spec,
   TpaOptions options;
   options.family_window = spec.s;
   options.stranger_start = spec.t;
+  options.preprocess_threads = 1;
 
   // Full cold start: build the graph from its generator and preprocess.
   Stopwatch watch;
@@ -139,6 +143,7 @@ int Run(int argc, char** argv) {
     MethodConfig config;
     config.tpa_family_window = spec.s;
     config.tpa_stranger_start = spec.t;
+    config.tpa_preprocess_threads = 1;
 
     for (std::string_view name : PreprocessingMethodNames()) {
       auto method = CreateMethod(name, config);

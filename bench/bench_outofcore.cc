@@ -166,7 +166,8 @@ StatusOr<Row> RunScale(const Args& args, uint32_t scale) {
   row.edges = ooc.graph->num_edges();
   row.csr_bytes = ooc.file_bytes;
 
-  // Preprocess streams the CSR front to back, repeatedly.
+  // Preprocess streams the in-CSR in one contiguous range per thread,
+  // once per iteration.
   (void)ooc.file->Advise(MappedAdvice::kSequential);
   watch = Stopwatch();
   TPA_ASSIGN_OR_RETURN(Tpa tpa, Tpa::Preprocess(*ooc.graph, {}));

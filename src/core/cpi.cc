@@ -4,6 +4,7 @@
 #include <cmath>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <ranges>
 #include <string>
 #include <type_traits>
@@ -12,6 +13,7 @@
 #include "la/width_dispatch.h"
 #include "util/check.h"
 #include "util/failpoint.h"
+#include "util/worker_team.h"
 
 namespace tpa {
 
@@ -76,24 +78,31 @@ la::DenseBlockT<V>& WsBlockNext(Cpi::Workspace& ws) {
 
 /// The post-propagate phase of one CPI iteration — Scale(decay), Axpy into
 /// the accumulator, NormL1 — fused into one streaming pass over the block
-/// rows that may be nonzero: every row, or the sorted union frontier (rows
-/// off it hold exact +0.0 in every column, so skipping them is a bitwise
-/// no-op).  Per element the arithmetic and its order are those of the
-/// separate scalar passes: v = x·decay taken in fp64 and rounded once to V,
-/// acc += v for the columns still accumulating, norms[b] += |v| over rows
-/// in ascending order.  With decay == 1.0 it is the x(0) pass (v = x·1.0
-/// is bitwise x for the finite inputs the loop admits).  `acc` is an n × B
-/// row-major accumulator with the block's stride.  Width-specialized like
-/// the kernels so the per-column norms live in registers: through memory
-/// they would serialize every row on a store-to-load round trip.
-template <typename V, typename Rows>
-void ScaleAccumulateAndNorms(double decay, const Rows& rows,
+/// rows that may be nonzero: every row (null `frontier`), or the sorted
+/// union frontier (rows off it hold exact +0.0 in every column, so skipping
+/// them is a bitwise no-op).  Per element the arithmetic and its order are
+/// those of the separate scalar passes: v = x·decay taken in fp64 and
+/// rounded once to V, acc += v for the columns still accumulating.
+/// norms[b] sums |v| over the fixed kCpiNormChunkRows-row chunks: rows
+/// ascending within a chunk, then the chunk sums in chunk order — the
+/// reduction PartitionedStep runs, so a team-run CPI gets the same norms,
+/// and stops at the same iteration, as this serial pass.  With decay == 1.0
+/// it is the x(0) pass (v = x·1.0 is bitwise x for the finite inputs the
+/// loop admits).  `acc` is an n × B row-major accumulator with the block's
+/// stride.  Width-specialized like the kernels so the per-column norms live
+/// in registers: through memory they would serialize every row on a
+/// store-to-load round trip.
+template <typename V>
+void ScaleAccumulateAndNorms(double decay,
+                             const std::vector<NodeId>* frontier,
                              const std::vector<char>& accumulating,
                              la::DenseBlockT<V>& x, V* acc,
                              std::vector<double>& norms) {
   V* const xs = x.RowPtr(0);
-  const auto pass = [&](auto width, double* sums, const char* accumulate) {
-    for (const size_t r : rows) {
+  const size_t n = x.rows();
+  const auto pass = [&](auto width, double* totals, double* sums,
+                        const char* accumulate) {
+    const auto row = [&](size_t r) {
       V* __restrict xr = xs + r * width;
       V* __restrict ar = acc + r * width;
       for (size_t b = 0; b < width; ++b) {
@@ -102,22 +111,210 @@ void ScaleAccumulateAndNorms(double decay, const Rows& rows,
         if (accumulate[b]) ar[b] += static_cast<double>(v);
         sums[b] += std::abs(static_cast<double>(v));
       }
+    };
+    const auto flush = [&] {
+      for (size_t b = 0; b < width; ++b) {
+        totals[b] += sums[b];
+        sums[b] = 0.0;
+      }
+    };
+    if (frontier == nullptr) {
+      for (size_t c = 0; c < n; c += kCpiNormChunkRows) {
+        const size_t chunk_end = std::min<size_t>(c + kCpiNormChunkRows, n);
+        for (size_t r = c; r < chunk_end; ++r) row(r);
+        flush();
+      }
+      return;
     }
+    // A chunk the frontier skips would add +0.0: a bitwise no-op.
+    size_t chunk_end = 0;
+    for (const size_t r : *frontier) {
+      if (r >= chunk_end) {
+        flush();
+        chunk_end = (r / kCpiNormChunkRows + 1) * kCpiNormChunkRows;
+      }
+      row(r);
+    }
+    flush();
   };
   la::DispatchWidth(
       x.num_vectors(),
       [&]<size_t kWidth>() {
+        double totals[kWidth] = {};
         double sums[kWidth] = {};
         char accumulate[kWidth];
         std::copy_n(accumulating.begin(), kWidth, accumulate);
-        pass(std::integral_constant<size_t, kWidth>{}, sums, accumulate);
-        std::copy_n(sums, kWidth, norms.begin());
+        pass(std::integral_constant<size_t, kWidth>{}, totals, sums,
+             accumulate);
+        std::copy_n(totals, kWidth, norms.begin());
       },
       [&] {
         std::fill(norms.begin(), norms.end(), 0.0);
-        pass(x.num_vectors(), norms.data(), accumulating.data());
+        std::vector<double> sums(x.num_vectors(), 0.0);
+        pass(x.num_vectors(), norms.data(), sums.data(), accumulating.data());
       });
 }
+
+/// The dense step of a team-run CPI (Cpi::RunWithSeedVectorT with a
+/// WorkerTeam), partitioned by destination.  Between steps the interim
+/// buffer holds p(u) = w(u)·x(u), the product the serial scatter forms for
+/// source row u, so a step gathers next(v) = Σ p(u) over v's in-neighbors in
+/// ascending u: the values the scatter adds into v, in the order it adds
+/// them (a zero row the scatter skips adds +0.0 here, a bitwise no-op).
+/// Each thread owns one contiguous range of whole kCpiNormChunkRows-row
+/// chunks, cut once by one binary search per boundary over the in-CSR
+/// offsets, and runs its post-pass right after its gather.  Per-chunk
+/// norms summed in chunk order give ‖x(i)‖₁ the bits of the serial
+/// ScaleAccumulateAndNorms at every team size.
+template <typename V>
+class PartitionedStep {
+ public:
+  /// Cuts the ranges and checks, on the team, the two properties the gather
+  /// relies on: one weight per source row and ascending in-CSR rows.
+  static StatusOr<PartitionedStep> Create(const Graph& graph,
+                                          WorkerTeam& team) {
+    PartitionedStep step(graph, team);
+    TPA_RETURN_IF_ERROR(step.CheckRows());
+    return step;
+  }
+
+  /// Iteration i on every thread: x(0) is read from `x` and p(0) left in
+  /// its place (i == 0), or x(i) gathered from the p(i−1) in `x` and p(i)
+  /// left in `next` (i > 0).  In between, x(i) is scaled by `decay` and
+  /// accumulated into `acc` when `accumulate`, with the arithmetic of
+  /// ScaleAccumulateAndNorms.  Returns ‖x(i)‖₁.
+  double Step(int i, double decay, bool accumulate, V* x, V* next, V* acc) {
+    team_->Run([&](int t) {
+      if (static_cast<size_t>(t) + 1 >= bounds_.size()) return;
+      if (i == 0) {
+        PostPass<false>(t, decay, accumulate, x, x, acc);
+      } else {
+        PostPass<true>(t, decay, accumulate, x, next, acc);
+      }
+    });
+    double norm = 0.0;
+    for (const double chunk : chunk_norms_) norm += chunk;
+    return norm;
+  }
+
+ private:
+  PartitionedStep(const Graph& graph, WorkerTeam& team)
+      : team_(&team),
+        out_offsets_(graph.OutOffsets().data()),
+        in_offsets_(graph.InOffsets().data()),
+        in_sources_(graph.InSources().data()) {
+    const la::CsrMatrixT<V>& transition = graph.TransitionT<V>();
+    if (transition.value_mode() == la::CsrValueMode::kExplicit) {
+      values_ = transition.values().data();
+    } else if (!transition.scales().empty()) {
+      scales_ = transition.scales().data();
+    }
+    const NodeId n = graph.num_nodes();
+    const size_t chunks = CpiNormChunks(n);
+    chunk_norms_.assign(chunks, 0.0);
+    const size_t parts =
+        std::min<size_t>(team.size(), std::max<size_t>(chunks, 1));
+    // Cost of the rows before chunk k: their in-edges plus the rows.
+    const auto cost_before = [&](size_t k) {
+      const NodeId v = static_cast<NodeId>(
+          std::min<size_t>(k * kCpiNormChunkRows, n));
+      return in_offsets_[v] + v;
+    };
+    const double total = static_cast<double>(cost_before(chunks));
+    bounds_.assign(parts + 1, n);
+    bounds_[0] = 0;
+    for (size_t t = 1; t < parts; ++t) {
+      const double target =
+          total * static_cast<double>(t) / static_cast<double>(parts);
+      const size_t chunk = *std::ranges::partition_point(
+          std::views::iota(size_t{0}, chunks + 1), [&](size_t k) {
+            return static_cast<double>(cost_before(k)) < target;
+          });
+      bounds_[t] = static_cast<NodeId>(
+          std::min<size_t>(chunk * kCpiNormChunkRows, n));
+    }
+  }
+
+  Status CheckRows() {
+    const NodeId n = bounds_.back();
+    std::vector<NodeId> unequal(bounds_.size(), n);
+    std::vector<NodeId> unsorted(bounds_.size(), n);
+    team_->Run([&](int t) {
+      if (static_cast<size_t>(t) + 1 >= bounds_.size()) return;
+      for (NodeId v = bounds_[t]; v < bounds_[t + 1]; ++v) {
+        if (unsorted[t] == n &&
+            !std::is_sorted(in_sources_ + in_offsets_[v],
+                            in_sources_ + in_offsets_[v + 1])) {
+          unsorted[t] = v;
+        }
+        if (values_ == nullptr || unequal[t] != n) continue;
+        const uint64_t begin = out_offsets_[v];
+        for (uint64_t e = begin + 1; e < out_offsets_[v + 1]; ++e) {
+          if (values_[e] != values_[begin]) unequal[t] = v;
+        }
+      }
+    });
+    const NodeId first_unequal = std::ranges::min(unequal);
+    if (first_unequal != n) {
+      return InvalidArgumentError(
+          "explicit row " + std::to_string(first_unequal) +
+          " holds unequal values; the team-run CPI needs one weight per "
+          "source node");
+    }
+    const NodeId first_unsorted = std::ranges::min(unsorted);
+    if (first_unsorted != n) {
+      return InvalidArgumentError("in-CSR row " +
+                                  std::to_string(first_unsorted) +
+                                  " is not in ascending source order");
+    }
+    return OkStatus();
+  }
+
+  /// w(u): the one weight every edge of Ã's row u carries, by the exact
+  /// expression the scatter kernels read or synthesize it with.
+  V Weight(NodeId u) const {
+    const uint64_t begin = out_offsets_[u];
+    const uint64_t end = out_offsets_[u + 1];
+    if (begin == end) return V{0};  // a dangling row is nobody's in-neighbor
+    if (values_ != nullptr) return values_[begin];
+    if (scales_ != nullptr) return scales_[u];
+    return static_cast<V>(1.0 / static_cast<double>(end - begin));
+  }
+
+  template <bool kGather>
+  void PostPass(int t, double decay, bool accumulate, const V* x, V* out,
+                V* acc) {
+    for (NodeId c = bounds_[t]; c < bounds_[t + 1]; c += kCpiNormChunkRows) {
+      const NodeId chunk_end =
+          std::min<NodeId>(c + kCpiNormChunkRows, bounds_[t + 1]);
+      double sum = 0.0;
+      for (NodeId v = c; v < chunk_end; ++v) {
+        V y{0};
+        if constexpr (kGather) {
+          for (uint64_t e = in_offsets_[v]; e < in_offsets_[v + 1]; ++e) {
+            y += x[in_sources_[e]];
+          }
+        } else {
+          y = x[v];
+        }
+        const V scaled = static_cast<V>(static_cast<double>(y) * decay);
+        if (accumulate) acc[v] += static_cast<double>(scaled);
+        sum += std::abs(static_cast<double>(scaled));
+        out[v] = Weight(v) * scaled;
+      }
+      chunk_norms_[c / kCpiNormChunkRows] = sum;
+    }
+  }
+
+  WorkerTeam* team_;
+  const uint64_t* out_offsets_;
+  const uint64_t* in_offsets_;
+  const NodeId* in_sources_;
+  const V* values_ = nullptr;  // kExplicit: the per-edge values
+  const V* scales_ = nullptr;  // scaled kRowConstant: one weight per row
+  std::vector<NodeId> bounds_;  // thread t owns [bounds_[t], bounds_[t+1])
+  std::vector<double> chunk_norms_;
+};
 
 /// Scans column 0 of x for its support and leaves it, sorted, in
 /// `frontier`.  Bails out (returns false) once the support exceeds the
@@ -197,7 +394,8 @@ template <typename V, typename Observer>
 void RunLoop(const Graph& graph, const CpiOptions& options, Cpi::Workspace& ws,
              bool sparse, V* acc, std::span<Cpi::ResultT<V>> columns,
              Observer&& observer,
-             std::span<QueryContext* const> contexts = {}) {
+             std::span<QueryContext* const> contexts = {},
+             PartitionedStep<V>* partitioned = nullptr) {
   const NodeId n = graph.num_nodes();
   const size_t width = columns.size();
   const double decay = 1.0 - options.restart_probability;
@@ -218,36 +416,37 @@ void RunLoop(const Graph& graph, const CpiOptions& options, Cpi::Workspace& ws,
   std::vector<char> accumulating(width, 0);
   std::vector<double> norms(width);
   for (int i = 0;; ++i) {
-    if (i > 0) {
-      // Propagation-site failpoint (no-op unless TPA_FAILPOINTS=ON): a
-      // delay armed here makes a deadline expire mid-query
-      // deterministically.
-      TPA_FAILPOINT_HIT("cpi.iteration");
-      if (sparse) {
-        // Re-zero the stale support of the recycled buffer (the interim
-        // block from two iterations ago), then scatter from the frontier;
-        // above the density threshold the kernel falls through to the
-        // dense sweep and the run stays dense from here on.
-        for (NodeId j : ws.next_frontier) {
-          V* row = next.RowPtr(j);
-          std::fill(row, row + width, V{0});
-        }
-        sparse = graph.TransitionT<V>().SpMmTransposeFrontier(
-            x, ws.frontier, options.frontier_density_threshold, next,
-            ws.next_frontier, ws.scratch);
-      } else {
-        graph.MultiplyTransposeBlockT<V>(x, next);
-      }
-      x.swap(next);
-      if (sparse) ws.frontier.swap(ws.next_frontier);
-    }
     const double step = i == 0 ? 1.0 : decay;
     if (i >= options.start_iteration) accumulating = active;
-    if (sparse) {
-      ScaleAccumulateAndNorms<V>(step, ws.frontier, accumulating, x, acc,
-                                 norms);
+    // Propagation-site failpoint (no-op unless TPA_FAILPOINTS=ON): a delay
+    // armed here makes a deadline expire mid-query deterministically.
+    if (i > 0) TPA_FAILPOINT_HIT("cpi.iteration");
+    if (partitioned != nullptr) {
+      // Dense at width 1: gather and post-pass fused on the team's threads.
+      norms[0] = partitioned->Step(i, step, accumulating[0] != 0,
+                                   x.RowPtr(0), next.RowPtr(0), acc);
+      if (i > 0) x.swap(next);
     } else {
-      ScaleAccumulateAndNorms<V>(step, std::views::iota(size_t{0}, size_t{n}),
+      if (i > 0) {
+        if (sparse) {
+          // Re-zero the stale support of the recycled buffer (the interim
+          // block from two iterations ago), then scatter from the frontier;
+          // above the density threshold the kernel falls through to the
+          // dense sweep and the run stays dense from here on.
+          for (NodeId j : ws.next_frontier) {
+            V* row = next.RowPtr(j);
+            std::fill(row, row + width, V{0});
+          }
+          sparse = graph.TransitionT<V>().SpMmTransposeFrontier(
+              x, ws.frontier, options.frontier_density_threshold, next,
+              ws.next_frontier, ws.scratch);
+        } else {
+          graph.MultiplyTransposeBlockT<V>(x, next);
+        }
+        x.swap(next);
+        if (sparse) ws.frontier.swap(ws.next_frontier);
+      }
+      ScaleAccumulateAndNorms<V>(step, sparse ? &ws.frontier : nullptr,
                                  accumulating, x, acc, norms);
     }
     const bool stop = observer.AfterIteration(i, sparse, norms[0], ws.frontier);
@@ -509,7 +708,8 @@ template <typename V>
 StatusOr<Cpi::ResultT<V>> Cpi::RunWithSeedVectorT(const Graph& graph,
                                                   const std::vector<V>& q,
                                                   const CpiOptions& options,
-                                                  Workspace* workspace) {
+                                                  Workspace* workspace,
+                                                  WorkerTeam* team) {
   TPA_RETURN_IF_ERROR(ValidateOptions(options));
   const NodeId n = graph.num_nodes();
   if (q.size() != n) {
@@ -531,15 +731,19 @@ StatusOr<Cpi::ResultT<V>> Cpi::RunWithSeedVectorT(const Graph& graph,
     x.At(i, 0) =
         static_cast<V>(static_cast<double>(q[i]) * options.restart_probability);
   }
+  std::optional<PartitionedStep<V>> partitioned;
+  if (team != nullptr) {
+    TPA_ASSIGN_OR_RETURN(partitioned, PartitionedStep<V>::Create(graph, *team));
+  }
   const bool sparse =
-      options.frontier_density_threshold > 0.0 &&
+      !partitioned && options.frontier_density_threshold > 0.0 &&
       ScanInitialFrontier(
           x, options.frontier_density_threshold * static_cast<double>(n),
           ws.frontier);
   ResultT<V> result;
   result.scores.assign(n, V{0});
   RunLoop<V>(graph, options, ws, sparse, result.scores.data(), {&result, 1},
-             NullObserver{});
+             NullObserver{}, {}, partitioned ? &*partitioned : nullptr);
   return result;
 }
 
@@ -668,9 +872,11 @@ template StatusOr<Cpi::ResultT<float>> Cpi::RunT<float>(
     const Graph&, const std::vector<NodeId>&, const CpiOptions&, Workspace*,
     QueryContext*);
 template StatusOr<Cpi::ResultT<double>> Cpi::RunWithSeedVectorT<double>(
-    const Graph&, const std::vector<double>&, const CpiOptions&, Workspace*);
+    const Graph&, const std::vector<double>&, const CpiOptions&, Workspace*,
+    WorkerTeam*);
 template StatusOr<Cpi::ResultT<float>> Cpi::RunWithSeedVectorT<float>(
-    const Graph&, const std::vector<float>&, const CpiOptions&, Workspace*);
+    const Graph&, const std::vector<float>&, const CpiOptions&, Workspace*,
+    WorkerTeam*);
 template StatusOr<la::DenseBlockT<double>> Cpi::RunBatchT<double>(
     const Graph&, std::span<const NodeId>, const CpiOptions&, Workspace*,
     std::span<QueryContext* const>);

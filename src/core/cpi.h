@@ -16,6 +16,18 @@
 
 namespace tpa {
 
+class WorkerTeam;
+
+/// Rows per norm chunk: every CPI sums ‖x(i)‖₁ per fixed chunk of this many
+/// rows, then the chunk sums in order, so the team-run CPI
+/// (Cpi::RunWithSeedVectorT with a WorkerTeam), whose threads each own a
+/// whole number of chunks, reduces in the serial run's order.  No team has
+/// use for more threads than CpiNormChunks.
+inline constexpr NodeId kCpiNormChunkRows = 1024;
+inline size_t CpiNormChunks(NodeId num_nodes) {
+  return (size_t{num_nodes} + kCpiNormChunkRows - 1) / kCpiNormChunkRows;
+}
+
 /// Options for Cumulative Power Iteration (paper Algorithm 1).
 struct CpiOptions {
   /// Restart probability c (the paper uses 0.15 everywhere).
@@ -127,12 +139,25 @@ class Cpi {
   /// scale linearly otherwise).  The seed vector is multiplied by c
   /// internally, matching x(0) = c·q.  Fails on invalid options, a size
   /// mismatch, or an entry of q that is NaN, infinite or negative.
+  ///
+  /// A non-null `team` runs every iteration dense and on all of the team's
+  /// threads (Tpa::Preprocess is the one caller): each thread owns one
+  /// contiguous destination range, balanced by in-edges plus rows, and
+  /// gathers every owned node's in-neighbors in ascending source order —
+  /// the order in which the serial scatter adds into that node — then
+  /// runs the range's post-pass.  ‖x(i)‖₁ is summed over the fixed
+  /// kCpiNormChunkRows-row chunks in the serial run's order, so the scores,
+  /// the norms and the stop iteration are bitwise those of the serial run
+  /// at any team size.  The gather needs one weight per source node, so the
+  /// run fails with InvalidArgument when a kExplicit row holds unequal
+  /// values or an in-CSR row is not in ascending source order (neither
+  /// happens in a graph from GraphBuilder or the out-of-core builder).
   template <typename V>
   static StatusOr<ResultT<V>> RunWithSeedVectorT(const Graph& graph,
                                                  const std::vector<V>& q,
                                                  const CpiOptions& options,
-                                                 Workspace* workspace =
-                                                     nullptr);
+                                                 Workspace* workspace = nullptr,
+                                                 WorkerTeam* team = nullptr);
   static StatusOr<Result> RunWithSeedVector(const Graph& graph,
                                             const std::vector<double>& q,
                                             const CpiOptions& options,

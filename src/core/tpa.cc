@@ -3,11 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <thread>
 #include <type_traits>
 
 #include "la/vector_ops.h"
 #include "util/check.h"
 #include "util/failpoint.h"
+#include "util/worker_team.h"
 
 namespace tpa {
 
@@ -24,6 +26,9 @@ Status ValidateTpaOptions(const TpaOptions& options) {
       ValidateFrontierThreshold(options.frontier_density_threshold));
   TPA_RETURN_IF_ERROR(
       ValidateFrontierThreshold(options.topk_frontier_density_threshold));
+  if (options.preprocess_threads < 0) {
+    return InvalidArgumentError("preprocess_threads must be non-negative");
+  }
   return OkStatus();
 }
 
@@ -31,15 +36,52 @@ namespace {
 
 /// All node ids sorted by value descending, ties toward the smaller id —
 /// the order TopKSelector ranks equal-scored candidates, so walking it
-/// yields the best never-touched candidates first.
+/// yields the best never-touched candidates first.  The comparator is a
+/// strict total order, so the order is unique: the team sorts one run per
+/// thread, then merges neighboring runs pairwise, and the result does not
+/// depend on the team size.
 template <typename V>
-std::vector<NodeId> ArgsortDescending(const std::vector<V>& values) {
-  std::vector<NodeId> order(values.size());
-  std::iota(order.begin(), order.end(), NodeId{0});
-  std::sort(order.begin(), order.end(), [&values](NodeId a, NodeId b) {
+std::vector<NodeId> ArgsortDescending(const std::vector<V>& values,
+                                      WorkerTeam& team) {
+  const auto before = [&values](NodeId a, NodeId b) {
     return values[a] != values[b] ? values[a] > values[b] : a < b;
+  };
+  const size_t n = values.size();
+  const size_t runs = static_cast<size_t>(team.size());
+  std::vector<size_t> bounds(runs + 1);
+  for (size_t r = 0; r <= runs; ++r) bounds[r] = n * r / runs;
+  std::vector<NodeId> order(n);
+  std::iota(order.begin(), order.end(), NodeId{0});
+  team.Run([&](int t) {
+    std::sort(order.begin() + bounds[t], order.begin() + bounds[t + 1],
+              before);
   });
+  std::vector<NodeId> merged(runs > 1 ? n : 0);
+  for (size_t width = 1; width < runs; width *= 2) {
+    team.Run([&](int t) {
+      const size_t lo = 2 * width * static_cast<size_t>(t);
+      if (lo >= runs) return;
+      const size_t mid = std::min(lo + width, runs);
+      const size_t hi = std::min(lo + 2 * width, runs);
+      std::merge(order.begin() + bounds[lo], order.begin() + bounds[mid],
+                 order.begin() + bounds[mid], order.begin() + bounds[hi],
+                 merged.begin() + bounds[lo], before);
+    });
+    order.swap(merged);
+  }
   return order;
+}
+
+/// The Preprocess team size: preprocess_threads, 0 meaning every hardware
+/// thread, capped at the CPI's norm-chunk count (a thread without a chunk
+/// would only idle).
+int PreprocessThreads(const TpaOptions& options, NodeId num_nodes) {
+  const size_t requested =
+      options.preprocess_threads > 0
+          ? static_cast<size_t>(options.preprocess_threads)
+          : std::thread::hardware_concurrency();
+  const size_t chunks = std::max<size_t>(CpiNormChunks(num_nodes), 1);
+  return static_cast<int>(std::clamp<size_t>(requested, 1, chunks));
 }
 
 }  // namespace
@@ -66,21 +108,24 @@ StatusOr<Tpa> Tpa::Preprocess(const Graph& graph, const TpaOptions& options) {
   cpi.terminal_iteration = CpiOptions::kUnbounded;
   cpi.frontier_density_threshold = options.frontier_density_threshold;
 
+  WorkerTeam team(PreprocessThreads(options, graph.num_nodes()));
   if (graph.value_precision() == la::Precision::kFloat64) {
     std::vector<double> uniform(graph.num_nodes(),
                                 1.0 / static_cast<double>(graph.num_nodes()));
-    TPA_ASSIGN_OR_RETURN(Cpi::Result result,
-                         Cpi::RunWithSeedVector(graph, uniform, cpi));
-    std::vector<NodeId> order = ArgsortDescending(result.scores);
+    TPA_ASSIGN_OR_RETURN(
+        Cpi::Result result,
+        Cpi::RunWithSeedVectorT<double>(graph, uniform, cpi, nullptr, &team));
+    std::vector<NodeId> order = ArgsortDescending(result.scores, team);
     return Tpa(&graph, options, std::move(result.scores), {},
                std::move(order));
   }
   std::vector<float> uniform(
       graph.num_nodes(),
       static_cast<float>(1.0 / static_cast<double>(graph.num_nodes())));
-  TPA_ASSIGN_OR_RETURN(Cpi::ResultF result,
-                       Cpi::RunWithSeedVectorT<float>(graph, uniform, cpi));
-  std::vector<NodeId> order = ArgsortDescending(result.scores);
+  TPA_ASSIGN_OR_RETURN(
+      Cpi::ResultF result,
+      Cpi::RunWithSeedVectorT<float>(graph, uniform, cpi, nullptr, &team));
+  std::vector<NodeId> order = ArgsortDescending(result.scores, team);
   return Tpa(&graph, options, {}, std::move(result.scores), std::move(order));
 }
 

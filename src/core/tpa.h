@@ -45,6 +45,12 @@ struct TpaOptions {
   /// while full queries — which pay the dense merge regardless — prefer the
   /// 0.125 default.  Results identical at any setting.
   double topk_frontier_density_threshold = 0.002;
+  /// Threads Preprocess runs its stranger-tail CPI and stranger-order sort
+  /// on; 0 (the default) means std::thread::hardware_concurrency().  The
+  /// output is bitwise the same at every thread count, 1 included (see
+  /// Preprocess), so the option is not part of a snapshot.  Queries never
+  /// use it: serving parallelism is the engines' worker threads.
+  int preprocess_threads = 0;
 };
 
 /// Two Phase Approximation for RWR (the paper's proposed method).
@@ -66,7 +72,14 @@ struct TpaOptions {
 class Tpa {
  public:
   /// Algorithm 2: computes the PageRank tail r̃_stranger = Σ_{i≥T} x(i) at
-  /// the graph's precision tier.
+  /// the graph's precision tier, on options.preprocess_threads threads.
+  /// The CPI runs as a destination-partitioned gather (Cpi::
+  /// RunWithSeedVectorT with a WorkerTeam) and the stranger order is a
+  /// parallel sort under a strict total order, so the stranger tail, the
+  /// stranger order and the iteration count are bitwise the same at every
+  /// thread count.  Fails with InvalidArgument on a kExplicit graph whose
+  /// rows hold unequal values (the gather needs one weight per source
+  /// node; every builder stores 1/out-degree).
   static StatusOr<Tpa> Preprocess(const Graph& graph,
                                   const TpaOptions& options);
 
@@ -258,7 +271,8 @@ double NeighborErrorBound(double restart_probability, int family_window,
                           int stranger_start);
 double TotalErrorBound(double restart_probability, int family_window);
 
-/// Validates a TpaOptions bundle (c, ε ranges; 1 ≤ S < T).
+/// Validates a TpaOptions bundle (c, ε ranges; 1 ≤ S < T; thresholds in
+/// [0, 1]; preprocess_threads ≥ 0).
 Status ValidateTpaOptions(const TpaOptions& options);
 
 }  // namespace tpa

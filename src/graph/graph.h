@@ -134,6 +134,13 @@ class Graph {
   std::span<const NodeId> OutTargets() const {
     return out_structure_.col_indices.span();
   }
+  /// The raw in-CSR index arrays: row v lists v's in-neighbors.
+  std::span<const uint64_t> InOffsets() const {
+    return in_structure_.row_offsets.span();
+  }
+  std::span<const NodeId> InSources() const {
+    return in_structure_.col_indices.span();
+  }
 
   /// Ã as a weighted CSR at tier V: row u holds u's out-neighbors with
   /// weight 1/out-degree(u).  CHECK-fails when that tier has not been

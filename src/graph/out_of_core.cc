@@ -1,6 +1,8 @@
 #include "graph/out_of_core.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -14,6 +16,15 @@
 namespace tpa {
 
 namespace {
+
+/// Removes `path` on scope exit unless it was cleared: the build's temp
+/// file on every early return.
+struct RemoveOnExit {
+  std::string path;
+  ~RemoveOnExit() {
+    if (!path.empty()) std::remove(path.c_str());
+  }
+};
 
 constexpr char kOocMagic[8] = {'T', 'P', 'A', 'C', 'S', 'R', '1', '\0'};
 constexpr uint32_t kOocEndianTag = 0x01020304u;
@@ -326,8 +337,13 @@ StatusOr<OutOfCoreGraph> OutOfCoreGraphBuilder::Build() {
   const la::Precision precision = options_.build.value_precision;
   const ValueStorage storage = options_.build.value_storage;
   const OocLayout layout = ComputeLayout(n, m, precision, storage);
+  // Built in a sibling temp file and renamed over csr_path once complete,
+  // as BinaryFileWriter does: a process still serving an older file at
+  // csr_path from a mapping keeps reading the old inode, never a
+  // truncated one.
+  RemoveOnExit temp{SiblingTempPath(options_.csr_path)};
   TPA_ASSIGN_OR_RETURN(MappedFile mapped,
-                       MappedFile::Create(options_.csr_path, layout.total));
+                       MappedFile::Create(temp.path, layout.total));
   auto file = std::make_shared<MappedFile>(std::move(mapped));
   uint8_t* base = file->mutable_data();
   if (options_.steward != nullptr) {
@@ -461,6 +477,11 @@ StatusOr<OutOfCoreGraph> OutOfCoreGraphBuilder::Build() {
   std::memcpy(base, &header, sizeof(header));
 
   if (options_.sync_on_finish) TPA_RETURN_IF_ERROR(file->Sync());
+  if (std::rename(temp.path.c_str(), options_.csr_path.c_str()) != 0) {
+    return InternalError("cannot rename the built CSR over '" +
+                         options_.csr_path + "': " + std::strerror(errno));
+  }
+  temp.path.clear();
 
   // The spill files are no longer needed; drop them before the graph goes
   // to work so the disk footprint is just the CSR.

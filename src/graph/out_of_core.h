@@ -37,7 +37,9 @@ namespace tpa {
 struct OutOfCoreOptions {
   /// The file-backed CSR this build produces ("TPACSR1" format).  Required.
   /// Reopenable later with OpenOutOfCoreGraph — the build is also a
-  /// persistence step.
+  /// persistence step.  The build writes a sibling temp file and renames it
+  /// over this path when it finishes, so rebuilding a path that another
+  /// process maps leaves that process reading the old file.
   std::string csr_path;
   /// Directory for the two spill files (deleted when the builder dies).
   /// Empty: alongside csr_path.

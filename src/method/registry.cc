@@ -21,6 +21,7 @@ StatusOr<std::unique_ptr<RwrMethod>> CreateMethod(std::string_view name,
     options.tolerance = config.tolerance;
     options.family_window = config.tpa_family_window;
     options.stranger_start = config.tpa_stranger_start;
+    options.preprocess_threads = config.tpa_preprocess_threads;
     return std::unique_ptr<RwrMethod>(new TpaMethod(options));
   }
   if (name == "BEAR-APPROX") {

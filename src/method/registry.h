@@ -18,6 +18,10 @@ struct MethodConfig {
   /// TPA's S and T (Table II values live in DatasetSpec).
   int tpa_family_window = 5;
   int tpa_stranger_start = 10;
+  /// TpaOptions::preprocess_threads (0 = every hardware thread).  The
+  /// paper-figure benches set 1, so TPA's preprocessing time is measured
+  /// on one core like the baselines it is compared with.
+  int tpa_preprocess_threads = 0;
 };
 
 /// Instantiates a method by display name ("TPA", "BEAR-APPROX", "NB-LIN",

@@ -233,14 +233,18 @@ Status MappedFile::Advise(MappedAdvice advice, size_t offset,
   return OkStatus();
 }
 
+std::string SiblingTempPath(const std::string& path) {
+  static std::atomic<uint64_t> next_id{0};
+  return path + ".tmp." + std::to_string(::getpid()) + "." +
+         std::to_string(next_id.fetch_add(1));
+}
+
 StatusOr<BinaryFileWriter> BinaryFileWriter::Create(const std::string& path) {
   // The pid and a per-process counter make the name unique; O_EXCL turns a
   // stale file from an earlier process with the same pid into a retry.
-  static std::atomic<uint64_t> next_id{0};
   constexpr int kFlags = O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC;
-  const std::string prefix = path + ".tmp." + std::to_string(::getpid()) + ".";
   for (int attempt = 0;; ++attempt) {
-    std::string temp_path = prefix + std::to_string(next_id.fetch_add(1));
+    std::string temp_path = SiblingTempPath(path);
     const int fd = ::open(temp_path.c_str(), kFlags, 0666);
     if (fd < 0) {
       if (errno == EEXIST && attempt < 100) continue;

@@ -53,7 +53,9 @@ class MappedFile {
   static StatusOr<MappedFile> Open(const std::string& path);
 
   /// Creates (or truncates) `path` at exactly `size` bytes and maps it
-  /// read-write.  `size` must be positive.
+  /// read-write.  `size` must be positive.  Truncating a file that another
+  /// process maps faults that process, so a writer that replaces such a
+  /// file creates at SiblingTempPath(path) and renames when done.
   static StatusOr<MappedFile> Create(const std::string& path, size_t size);
 
   MappedFile(MappedFile&& other) noexcept { *this = std::move(other); }
@@ -90,6 +92,13 @@ class MappedFile {
   size_t size_ = 0;
   bool writable_ = false;
 };
+
+/// A fresh sibling of `path` to build its replacement in: `path` +
+/// ".tmp.<pid>.<n>", with n from a process-wide counter.  A writer that
+/// renames the finished file over `path` switches readers from the old
+/// file to the complete new one in one step; a process serving the old
+/// file from a mapping keeps reading the old inode.
+std::string SiblingTempPath(const std::string& path);
 
 /// Sequential binary file writer with explicit alignment control: the
 /// snapshot writer lays sections on 64-byte boundaries (AlignTo pads with

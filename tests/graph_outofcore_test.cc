@@ -11,6 +11,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <functional>
 #include <iterator>
@@ -368,6 +369,46 @@ TEST_F(OutOfCoreTest, OutOfRangeEndpointIsACleanError) {
   EXPECT_TRUE(builder->AddEdge(0, 3).ok());
   EXPECT_EQ(builder->AddEdge(0, 4).code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(builder->AddEdge(4, 0).code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(OutOfCoreTest, RebuildKeepsAnOpenMappingOfTheOldFileReadable) {
+  RmatOptions old_rmat;
+  old_rmat.scale = 9;
+  old_rmat.edges = 1u << 13;
+  old_rmat.seed = 3;
+  RmatOptions new_rmat = old_rmat;
+  new_rmat.scale = 10;
+  new_rmat.seed = 4;
+  const auto build_at_path = [this](const RmatOptions& rmat) {
+    OutOfCoreOptions ooc_options;
+    ooc_options.csr_path = CsrPath();
+    return GenerateRmatOutOfCore(rmat, std::move(ooc_options));
+  };
+  ASSERT_TRUE(build_at_path(old_rmat).ok());
+  // A reader of the old file, mapped read-only the way a serving process
+  // maps it, open across the rebuild of the same path.
+  auto old_file = OpenOutOfCoreGraph(CsrPath());
+  ASSERT_TRUE(old_file.ok()) << old_file.status();
+  ASSERT_TRUE(build_at_path(new_rmat).ok());
+
+  auto old_in_ram = GenerateRmat(old_rmat);
+  ASSERT_TRUE(old_in_ram.ok());
+  ExpectSameTopology(*old_in_ram, *old_file->graph);
+
+  auto reopened = OpenOutOfCoreGraph(CsrPath());
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  auto new_in_ram = GenerateRmat(new_rmat);
+  ASSERT_TRUE(new_in_ram.ok());
+  ExpectSameTopology(*new_in_ram, *reopened->graph);
+
+  // Neither build left its temp file behind.
+  const std::string temp_prefix =
+      std::filesystem::path(CsrPath()).filename().string() + ".tmp.";
+  for (const auto& entry :
+       std::filesystem::directory_iterator(::testing::TempDir())) {
+    EXPECT_NE(entry.path().filename().string().rfind(temp_prefix, 0), 0u)
+        << entry.path();
+  }
 }
 
 }  // namespace

@@ -209,7 +209,8 @@ int CmdBuild(ArgList& args) {
       return GenerateRmatOutOfCore(rmat, std::move(ooc_options));
     }();
     if (!ooc.ok()) return FailStatus(ooc.status());
-    // Preprocess sweeps the CSR front to back; tell the kernel.
+    // Preprocess streams the in-CSR in one contiguous range per thread;
+    // tell the kernel.
     (void)ooc->file->Advise(MappedAdvice::kSequential);
     StatusOr<Tpa> tpa = Tpa::Preprocess(*ooc->graph, options);
     if (!tpa.ok()) return FailStatus(tpa.status());
