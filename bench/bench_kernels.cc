@@ -1,26 +1,30 @@
-/// Kernel microbenchmarks (google-benchmark) for the design choices called
-/// out in DESIGN.md §6:
-///  * the scatter transition matvec,
+/// Kernel microbenchmarks (google-benchmark) for the propagation kernels
+/// described in README.md ("Adaptive propagation & reordering", "Precision
+/// tiers", "Memory layout"):
+///  * the dense transition product (the destination gather),
 ///  * one CPI iteration and full CPI convergence,
 ///  * forward push and random-walk sampling,
 ///  * sparse CSR matvec from the block-elimination substrate,
-///  * frontier-sparse vs dense scatter (the adaptive-head kernels).
+///  * the frontier-sparse scatter (the adaptive head).
 ///
 /// With `--json PATH [--scale N] [--edges M]` the binary instead runs the
-/// sparse-vs-dense frontier crossover sweep on a generated R-MAT graph and
-/// writes the measurements machine-readable (e.g. BENCH_kernels.json): per
-/// frontier density, the time of SpMmTransposeFrontier at width 1 and width
-/// 8 against the dense SpMmTranspose at the same width, plus the measured
-/// crossover density — the data behind CpiOptions::frontier_density_threshold's
-/// default.
+/// sparse-head crossover sweep on a generated R-MAT graph and writes the
+/// measurements machine-readable (e.g. BENCH_kernels.json): per frontier
+/// density, the time of SpMmTransposeFrontier at width 1 and width 8
+/// against the destination gather (Graph::MultiplyTransposeBlockT) at the
+/// same width — the two steps Cpi's loop switches between — plus the
+/// measured crossover density, the data behind
+/// CpiOptions::frontier_density_threshold's default.  At every density
+/// the head's output must equal the gather's bitwise; the run exits 1
+/// when it does not.
 ///
-/// The same JSON run also records the fp32-vs-fp64 precision sweep: dense
-/// SpMvTranspose / width-8 and width-16 SpMmTranspose timed at both
-/// value tiers over a ladder of graph sizes ending at the (cache-exceeding)
-/// sweep size — the data behind the "Precision tiers" guidance in the
-/// README.  Each ladder rung also times the value-free twins (kRowConstant
-/// over the same structure, ≈4 streamed bytes/nnz, bitwise-identical
-/// outputs) at both tiers — the data behind the "Memory layout" section.
+/// The same JSON run also records the fp32-vs-fp64 precision sweep: the
+/// gather (Graph::MultiplyTransposeT, MultiplyTransposeBlockT at widths 8
+/// and 16) timed at both value tiers over a ladder of graph sizes ending
+/// at the (cache-exceeding) sweep size — the data behind the "Precision
+/// tiers" guidance in the README.  Each ladder rung also times value-free
+/// twins (ValueStorage::kRowConstant over the same R-MAT draw, bitwise-
+/// identical outputs) at both tiers — the data behind "Memory layout".
 ///
 /// The committed BENCH_kernels.json is regenerated, from a Release build
 /// directory `build/` at the repository root, with
@@ -67,7 +71,7 @@ const Graph& BenchGraph() {
   return *graph;
 }
 
-void BM_MatVecPush(benchmark::State& state) {
+void BM_MultiplyTranspose(benchmark::State& state) {
   const Graph& graph = BenchGraph();
   std::vector<double> x(graph.num_nodes(), 1.0 / graph.num_nodes());
   std::vector<double> y;
@@ -77,7 +81,7 @@ void BM_MatVecPush(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * graph.num_edges());
 }
-BENCHMARK(BM_MatVecPush);
+BENCHMARK(BM_MultiplyTranspose);
 
 void BM_CpiExactQuery(benchmark::State& state) {
   const Graph& graph = BenchGraph();
@@ -210,9 +214,11 @@ struct SweepRow {
   size_t frontier_rows = 0;
   double density = 0.0;
   double spmv_sparse_ms = 0.0;
-  double spmv_dense_ms = 0.0;
+  double spmv_gather_ms = 0.0;
   double spmm_sparse_ms = 0.0;
-  double spmm_dense_ms = 0.0;
+  double spmm_gather_ms = 0.0;
+  /// Whether the head's outputs equal the gather's bitwise at both widths.
+  bool bitwise_equal = false;
   /// VmHWM when the row was recorded — a running process-lifetime maximum.
   size_t peak_rss_bytes = 0;
 };
@@ -260,15 +266,13 @@ struct PrecisionRow {
   size_t peak_rss_bytes = 0;
 };
 
-/// Times the dense kernels at both value tiers on one graph pair.  Dense
-/// uniform operands: every edge is touched, so the measurement isolates the
-/// bytes-per-edge difference the tiers exist for.  The block scatter is
-/// timed at width 8 (the fp64 line width — one fp64 block row per 64-byte
-/// cache line) and width 16 (the fp32 line width): the scatter's per-edge
-/// cost is one destination-line RMW at either tier, so the equal-width
-/// ratios understate fp32 and the width-16 ratio is the serving-relevant
-/// one — it is the group size the engine's kAuto dispatches at the fp32
-/// tier.
+/// Times the gather at tier V on one graph.  Dense uniform operands: every
+/// edge is touched, so the measurement isolates the bytes-per-edge
+/// difference the tiers exist for.  The block gather is timed at width 8
+/// (the fp64 line width — one fp64 block row per 64-byte cache line) and
+/// width 16 (the fp32 line width): the width-16 ratio is the
+/// serving-relevant one — it is the group size the engine's kAuto
+/// dispatches at the fp32 tier.
 ///
 /// Each output slot MIN-MERGES (0.0 = unset): the caller times the four
 /// storage variants in several interleaved rounds and keeps each variant's
@@ -278,15 +282,15 @@ struct PrecisionRow {
 /// measure.  Interleaving puts every compared pair a few seconds apart,
 /// and min-over-rounds converges each variant to its quiet-machine time.
 template <typename V>
-void TimePrecisionKernels(const la::CsrMatrixT<V>& csr, double& spmvt_ms,
+void TimePrecisionKernels(const Graph& graph, double& spmvt_ms,
                           double& spmm8_ms, double& spmm16_ms) {
   const auto keep = [](double& slot, double ms) {
     slot = (slot == 0.0) ? ms : std::min(slot, ms);
   };
-  const uint32_t n = csr.rows();
+  const uint32_t n = graph.num_nodes();
   std::vector<V> x(n, static_cast<V>(1.0 / static_cast<double>(n)));
   std::vector<V> y;
-  keep(spmvt_ms, TimeMs([&] { csr.SpMvTranspose(x, y); }));
+  keep(spmvt_ms, TimeMs([&] { graph.MultiplyTransposeT(x, y); }));
   for (size_t width : {size_t{8}, size_t{16}}) {
     la::DenseBlockT<V> bx(n, width);
     for (uint32_t r = 0; r < n; ++r) {
@@ -295,7 +299,7 @@ void TimePrecisionKernels(const la::CsrMatrixT<V>& csr, double& spmvt_ms,
     }
     la::DenseBlockT<V> by;
     keep(width == 8 ? spmm8_ms : spmm16_ms,
-         TimeMs([&] { csr.SpMmTranspose(bx, by); }));
+         TimeMs([&] { graph.MultiplyTransposeBlockT(bx, by); }));
   }
 }
 
@@ -311,58 +315,44 @@ std::vector<PrecisionRow> RunPrecisionSweep(const SweepArgs& args,
     if (scale_back >= args.scale) continue;
     PrecisionRow row;
     row.scale = args.scale - scale_back;
+    RmatOptions rmat;
+    rmat.scale = row.scale;
+    rmat.edges = args.edges >> scale_back;  // constant average degree
+    rmat.seed = 42;
     std::optional<Graph> generated;
     const Graph* graph = &full_graph;
     if (scale_back > 0) {
-      RmatOptions rmat;
-      rmat.scale = row.scale;
-      rmat.edges = args.edges >> scale_back;  // constant average degree
-      rmat.seed = 42;
       auto smaller = GenerateRmat(rmat);
       TPA_CHECK(smaller.ok());
       generated.emplace(std::move(smaller).value());
       graph = &*generated;
     }
     Graph graph32 = RematerializeWithPrecision(*graph, la::Precision::kFloat32);
+    // Value-free twins: the same R-MAT draw built with the n-length
+    // 1/out-degree scale instead of per-edge values; bitwise-identical
+    // outputs.
+    BuildOptions value_free;
+    value_free.value_storage = ValueStorage::kRowConstant;
+    auto vf64 = GenerateRmat(rmat, value_free);
+    TPA_CHECK(vf64.ok());
+    Graph vf32 = RematerializeWithPrecision(*vf64, la::Precision::kFloat32);
     row.nodes = graph->num_nodes();
     row.edges = graph->num_edges();
     row.csr_bytes_fp64 = graph->SizeBytes();
     row.csr_bytes_fp32 = graph32.SizeBytes();
-    // Value-free twins over the explicit graph's own out-CSR structure,
-    // in the exact configuration Graph serves: kRowConstant with the
-    // n-length precomputed 1/out-degree array (read once per row — no
-    // in-loop division), bitwise-identical to the explicit values timed
-    // above.
-    const la::CsrStructure& out = graph->Transition().structure();
-    const std::span<const uint64_t> out_offsets = out.row_offsets.span();
-    std::vector<double> scales64(graph->num_nodes(), 0.0);
-    std::vector<float> scales32(graph->num_nodes(), 0.0f);
-    for (uint32_t r = 0; r < graph->num_nodes(); ++r) {
-      const uint64_t degree = out_offsets[r + 1] - out_offsets[r];
-      if (degree == 0) continue;
-      scales64[r] = 1.0 / static_cast<double>(degree);
-      scales32[r] = static_cast<float>(1.0 / static_cast<double>(degree));
-    }
-    la::CsrMatrix vf64(out, la::CsrValueMode::kRowConstant,
-                       std::move(scales64));
-    la::CsrMatrixF vf32(out, la::CsrValueMode::kRowConstant,
-                        std::move(scales32));
-    // The in-structure holds the same number of offsets and indices as the
-    // out-structure, so both directions' topology is twice the out one.
-    row.csr_bytes_vf = 2 * la::CsrStructureBytes(out) +
-                       graph->num_nodes() * sizeof(double);
+    row.csr_bytes_vf = vf64->SizeBytes();
     // Three interleaved rounds, each variant next to the one it is
     // compared against; TimePrecisionKernels min-merges across rounds.
     constexpr int kTimingRounds = 3;
     for (int round = 0; round < kTimingRounds; ++round) {
-      TimePrecisionKernels(graph->Transition(), row.spmvt_fp64_ms,
-                           row.spmm8_fp64_ms, row.spmm16_fp64_ms);
-      TimePrecisionKernels(vf64, row.spmvt_vf64_ms, row.spmm8_vf64_ms,
-                           row.spmm16_vf64_ms);
-      TimePrecisionKernels(graph32.TransitionF(), row.spmvt_fp32_ms,
-                           row.spmm8_fp32_ms, row.spmm16_fp32_ms);
-      TimePrecisionKernels(vf32, row.spmvt_vf32_ms, row.spmm8_vf32_ms,
-                           row.spmm16_vf32_ms);
+      TimePrecisionKernels<double>(*graph, row.spmvt_fp64_ms,
+                                   row.spmm8_fp64_ms, row.spmm16_fp64_ms);
+      TimePrecisionKernels<double>(*vf64, row.spmvt_vf64_ms,
+                                   row.spmm8_vf64_ms, row.spmm16_vf64_ms);
+      TimePrecisionKernels<float>(graph32, row.spmvt_fp32_ms,
+                                  row.spmm8_fp32_ms, row.spmm16_fp32_ms);
+      TimePrecisionKernels<float>(vf32, row.spmvt_vf32_ms, row.spmm8_vf32_ms,
+                                  row.spmm16_vf32_ms);
     }
     std::printf(
         "precision scale %2u (%7u nodes, %8llu edges): "
@@ -426,12 +416,20 @@ void AppendPrecisionJson(std::ofstream& out,
   out << "  ]\n";
 }
 
-/// The sparse-vs-dense crossover: one scatter at a synthetic frontier of f
-/// rows (deterministically spread over the id space), timed for the width-1
-/// block kernel (the "spmv" columns: what a single-seed CPI runs) and the
-/// width-8 one against their dense counterparts at the same width.  The
-/// crossover density — where sparse stops winning — is what
-/// CpiOptions::frontier_density_threshold encodes.
+/// Whether two blocks hold the same bits.
+bool BitwiseEqual(const la::DenseBlock& a, const la::DenseBlock& b) {
+  return a.rows() == b.rows() && a.num_vectors() == b.num_vectors() &&
+         std::memcmp(a.RowPtr(0), b.RowPtr(0),
+                     a.rows() * a.num_vectors() * sizeof(double)) == 0;
+}
+
+/// The sparse-head crossover: one frontier scatter at a synthetic frontier
+/// of f rows (deterministically spread over the id space), timed for the
+/// width-1 block kernel (the "spmv" columns: what a single-seed CPI runs)
+/// and the width-8 one against the gather at the same width.  The
+/// crossover density — where the head stops winning — is what
+/// CpiOptions::frontier_density_threshold encodes.  Returns 1 when, at any
+/// density, the head's output is not bitwise the gather's.
 int RunCrossoverSweep(const SweepArgs& args) {
   constexpr size_t kBlockWidth = 8;
   RmatOptions rmat;
@@ -446,6 +444,7 @@ int RunCrossoverSweep(const SweepArgs& args) {
   const uint32_t n = csr.rows();
 
   std::vector<SweepRow> rows;
+  bool all_equal = true;
   for (size_t f = 16; f < n; f *= 4) {
     SweepRow row;
     row.frontier_rows = f;
@@ -458,7 +457,10 @@ int RunCrossoverSweep(const SweepArgs& args) {
     for (size_t i = 0; i < f; ++i) {
       const auto r = static_cast<uint32_t>((uint64_t{i} * 2654435761u) % n);
       x.At(r, 0) = 1.0 / static_cast<double>(f);
-      for (size_t b = 0; b < kBlockWidth; ++b) bx.At(r, b) = x.At(r, 0);
+      // Columns differ, so a column mix-up cannot pass the bitwise check.
+      for (size_t b = 0; b < kBlockWidth; ++b) {
+        bx.At(r, b) = x.At(r, 0) * static_cast<double>(b + 1);
+      }
       frontier.push_back(r);
     }
     std::sort(frontier.begin(), frontier.end());
@@ -474,8 +476,9 @@ int RunCrossoverSweep(const SweepArgs& args) {
       for (uint32_t j : next_frontier) y.At(j, 0) = 0.0;
       csr.SpMmTransposeFrontier(x, frontier, 1.0, y, next_frontier, scratch);
     });
-    la::DenseBlock dense_y;
-    row.spmv_dense_ms = TimeMs([&] { csr.SpMmTranspose(x, dense_y); });
+    la::DenseBlock gather_y;
+    row.spmv_gather_ms =
+        TimeMs([&] { graph->MultiplyTransposeBlockT(x, gather_y); });
 
     la::DenseBlock by(n, kBlockWidth);
     next_frontier.clear();
@@ -487,33 +490,38 @@ int RunCrossoverSweep(const SweepArgs& args) {
       csr.SpMmTransposeFrontier(bx, frontier, 1.0, by, next_frontier,
                                 scratch);
     });
-    la::DenseBlock dense_by;
-    row.spmm_dense_ms = TimeMs([&] { csr.SpMmTranspose(bx, dense_by); });
+    la::DenseBlock gather_by;
+    row.spmm_gather_ms =
+        TimeMs([&] { graph->MultiplyTransposeBlockT(bx, gather_by); });
+    row.bitwise_equal =
+        BitwiseEqual(y, gather_y) && BitwiseEqual(by, gather_by);
+    all_equal = all_equal && row.bitwise_equal;
 
     std::printf(
         "frontier %7zu (density %.4f): spmv %.3f/%.3f ms (%.2fx)  "
-        "spmm%zu %.3f/%.3f ms (%.2fx)\n",
+        "spmm%zu %.3f/%.3f ms (%.2fx)%s\n",
         row.frontier_rows, row.density, row.spmv_sparse_ms,
-        row.spmv_dense_ms, row.spmv_dense_ms / row.spmv_sparse_ms,
-        kBlockWidth, row.spmm_sparse_ms, row.spmm_dense_ms,
-        row.spmm_dense_ms / row.spmm_sparse_ms);
+        row.spmv_gather_ms, row.spmv_gather_ms / row.spmv_sparse_ms,
+        kBlockWidth, row.spmm_sparse_ms, row.spmm_gather_ms,
+        row.spmm_gather_ms / row.spmm_sparse_ms,
+        row.bitwise_equal ? "" : "  HEAD != GATHER");
     row.peak_rss_bytes = PeakRssBytes();
     rows.push_back(row);
   }
 
   // First measured density where the sparse kernel stops winning.
-  auto crossover = [&rows](auto sparse_ms, auto dense_ms) {
+  auto crossover = [&rows](auto sparse_ms, auto gather_ms) {
     for (const SweepRow& row : rows) {
-      if (sparse_ms(row) >= dense_ms(row)) return row.density;
+      if (sparse_ms(row) >= gather_ms(row)) return row.density;
     }
     return 1.0;
   };
   const double spmv_crossover =
       crossover([](const SweepRow& r) { return r.spmv_sparse_ms; },
-                [](const SweepRow& r) { return r.spmv_dense_ms; });
+                [](const SweepRow& r) { return r.spmv_gather_ms; });
   const double spmm_crossover =
       crossover([](const SweepRow& r) { return r.spmm_sparse_ms; },
-                [](const SweepRow& r) { return r.spmm_dense_ms; });
+                [](const SweepRow& r) { return r.spmm_gather_ms; });
   std::printf("crossover density: spmv %.4f, spmm %.4f\n", spmv_crossover,
               spmm_crossover);
 
@@ -538,9 +546,11 @@ int RunCrossoverSweep(const SweepArgs& args) {
     out << "    {\"frontier_rows\": " << row.frontier_rows
         << ", \"density\": " << row.density
         << ", \"spmv_sparse_ms\": " << row.spmv_sparse_ms
-        << ", \"spmv_dense_ms\": " << row.spmv_dense_ms
+        << ", \"spmv_gather_ms\": " << row.spmv_gather_ms
         << ", \"spmm_sparse_ms\": " << row.spmm_sparse_ms
-        << ", \"spmm_dense_ms\": " << row.spmm_dense_ms
+        << ", \"spmm_gather_ms\": " << row.spmm_gather_ms
+        << ", \"bitwise_equal\": "
+        << (row.bitwise_equal ? "true" : "false")
         << ", \"peak_rss_bytes\": " << row.peak_rss_bytes << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
@@ -548,6 +558,11 @@ int RunCrossoverSweep(const SweepArgs& args) {
   AppendPrecisionJson(out, precision_rows);
   out << "}\n";
   std::printf("wrote %s\n", args.json_path.c_str());
+  if (!all_equal) {
+    std::fprintf(stderr,
+                 "the frontier head's output differs from the gather's\n");
+    return 1;
+  }
   return 0;
 }
 

@@ -76,130 +76,93 @@ la::DenseBlockT<V>& WsBlockNext(Cpi::Workspace& ws) {
   }
 }
 
-/// The post-propagate phase of one CPI iteration — Scale(decay), Axpy into
-/// the accumulator, NormL1 — fused into one streaming pass over the block
-/// rows that may be nonzero: every row (null `frontier`), or the sorted
-/// union frontier (rows off it hold exact +0.0 in every column, so skipping
-/// them is a bitwise no-op).  Per element the arithmetic and its order are
-/// those of the separate scalar passes: v = x·decay taken in fp64 and
-/// rounded once to V, acc += v for the columns still accumulating.
-/// norms[b] sums |v| over the fixed kCpiNormChunkRows-row chunks: rows
-/// ascending within a chunk, then the chunk sums in chunk order — the
-/// reduction PartitionedStep runs, so a team-run CPI gets the same norms,
-/// and stops at the same iteration, as this serial pass.  With decay == 1.0
-/// it is the x(0) pass (v = x·1.0 is bitwise x for the finite inputs the
-/// loop admits).  `acc` is an n × B row-major accumulator with the block's
-/// stride.  Width-specialized like the kernels so the per-column norms live
-/// in registers: through memory they would serialize every row on a
-/// store-to-load round trip.
+/// The post-propagate phase of a sparse-head iteration — Scale(decay), Axpy
+/// into the accumulator, NormL1 — fused into one pass over the sorted union
+/// frontier (rows off it hold exact +0.0 in every column, so skipping them
+/// is a bitwise no-op).  Per element: v = x·decay taken in fp64 and rounded
+/// once to V, acc += v for the columns still accumulating.  norms[b] sums
+/// |v| over the fixed kCpiNormChunkRows-row chunks: rows ascending within a
+/// chunk, then the chunk sums in chunk order — the reduction of the dense
+/// step (PartitionedStep), so the head and the dense tail stop at the same
+/// iteration.  With decay == 1.0 it is the x(0) pass (v = x·1.0 is bitwise
+/// x for the finite inputs the loop admits).  `acc` is an n × B row-major
+/// accumulator with the block's stride.  Width-specialized like the kernels
+/// so the per-column norms live in registers: through memory they would
+/// serialize every row on a store-to-load round trip.
 template <typename V>
-void ScaleAccumulateAndNorms(double decay,
-                             const std::vector<NodeId>* frontier,
+void ScaleAccumulateAndNorms(double decay, const std::vector<NodeId>& frontier,
                              const std::vector<char>& accumulating,
                              la::DenseBlockT<V>& x, V* acc,
                              std::vector<double>& norms) {
   V* const xs = x.RowPtr(0);
-  const size_t n = x.rows();
-  const auto pass = [&](auto width, double* totals, double* sums,
-                        const char* accumulate) {
-    const auto row = [&](size_t r) {
-      V* __restrict xr = xs + r * width;
-      V* __restrict ar = acc + r * width;
-      for (size_t b = 0; b < width; ++b) {
-        const V v = static_cast<V>(static_cast<double>(xr[b]) * decay);
-        xr[b] = v;
-        if (accumulate[b]) ar[b] += static_cast<double>(v);
-        sums[b] += std::abs(static_cast<double>(v));
-      }
-    };
+  const size_t width = x.num_vectors();
+  la::DispatchWidth(width, [&]<size_t kWidth>(size_t col, auto stride) {
+    double totals[kWidth] = {};
+    double sums[kWidth] = {};
+    char accumulate[kWidth];
+    std::copy_n(accumulating.begin() + col, kWidth, accumulate);
     const auto flush = [&] {
-      for (size_t b = 0; b < width; ++b) {
+      for (size_t b = 0; b < kWidth; ++b) {
         totals[b] += sums[b];
         sums[b] = 0.0;
       }
     };
-    if (frontier == nullptr) {
-      for (size_t c = 0; c < n; c += kCpiNormChunkRows) {
-        const size_t chunk_end = std::min<size_t>(c + kCpiNormChunkRows, n);
-        for (size_t r = c; r < chunk_end; ++r) row(r);
-        flush();
-      }
-      return;
-    }
     // A chunk the frontier skips would add +0.0: a bitwise no-op.
     size_t chunk_end = 0;
-    for (const size_t r : *frontier) {
+    for (const size_t r : frontier) {
       if (r >= chunk_end) {
         flush();
         chunk_end = (r / kCpiNormChunkRows + 1) * kCpiNormChunkRows;
       }
-      row(r);
+      V* __restrict xr = xs + r * stride + col;
+      V* __restrict ar = acc + r * stride + col;
+      for (size_t b = 0; b < kWidth; ++b) {
+        const V v = static_cast<V>(static_cast<double>(xr[b]) * decay);
+        xr[b] = v;
+        ar[b] = accumulate[b] ? static_cast<V>(ar[b] + static_cast<double>(v))
+                              : ar[b];  // a select: the loop vectorizes
+        sums[b] += std::abs(static_cast<double>(v));
+      }
     }
     flush();
-  };
-  la::DispatchWidth(
-      x.num_vectors(),
-      [&]<size_t kWidth>() {
-        double totals[kWidth] = {};
-        double sums[kWidth] = {};
-        char accumulate[kWidth];
-        std::copy_n(accumulating.begin(), kWidth, accumulate);
-        pass(std::integral_constant<size_t, kWidth>{}, totals, sums,
-             accumulate);
-        std::copy_n(totals, kWidth, norms.begin());
-      },
-      [&] {
-        std::fill(norms.begin(), norms.end(), 0.0);
-        std::vector<double> sums(x.num_vectors(), 0.0);
-        pass(x.num_vectors(), norms.data(), sums.data(), accumulating.data());
-      });
+    std::copy_n(totals, kWidth, norms.begin() + col);
+  });
 }
 
-/// The dense step of a team-run CPI (Cpi::RunWithSeedVectorT with a
-/// WorkerTeam), partitioned by destination.  Between steps the interim
-/// buffer holds p(u) = w(u)·x(u), the product the serial scatter forms for
-/// source row u, so a step gathers next(v) = Σ p(u) over v's in-neighbors in
+/// The dense CPI step over B columns: the destination gather
+/// (Graph::GatherRow) fused with the post-pass.  Between steps the interim
+/// block holds p(u) = w(u)·x(u), the product the out-CSR scatter forms for
+/// source row u, so a step gathers x(v) = Σ p(u) over v's in-neighbors in
 /// ascending u: the values the scatter adds into v, in the order it adds
 /// them (a zero row the scatter skips adds +0.0 here, a bitwise no-op).
-/// Each thread owns one contiguous range of whole kCpiNormChunkRows-row
-/// chunks, cut once by one binary search per boundary over the in-CSR
-/// offsets, and runs its post-pass right after its gather.  Per-chunk
-/// norms summed in chunk order give ‖x(i)‖₁ the bits of the serial
-/// ScaleAccumulateAndNorms at every team size.
+/// Right after gathering row v it scales, accumulates and norms it with
+/// the arithmetic of ScaleAccumulateAndNorms and leaves p(v) in its place,
+/// so a step needs no third n × B block and no zeroing pass.
+///
+/// With a WorkerTeam (Tpa::Preprocess) each thread owns one contiguous
+/// range of whole kCpiNormChunkRows-row chunks, cut once by one binary
+/// search per boundary over the in-CSR offsets; without one (serving) the
+/// calling thread runs the whole range.  Per-chunk norms summed in chunk
+/// order give ‖x(i)‖₁ the bits of the sparse head's reduction at every team
+/// size.
 template <typename V>
 class PartitionedStep {
  public:
-  /// Cuts the ranges and checks, on the team, the two properties the gather
-  /// relies on: one weight per source row and ascending in-CSR rows.
-  static StatusOr<PartitionedStep> Create(const Graph& graph,
+  /// A team-run step.  Checks, on the team, the two properties the gather
+  /// relies on: one weight per source row and ascending in-CSR rows.  A
+  /// step without a team trusts them (see Graph::GatherRow): the check is
+  /// O(nnz), too dear per query.
+  static StatusOr<PartitionedStep> Create(const Graph& graph, size_t width,
                                           WorkerTeam& team) {
-    PartitionedStep step(graph, team);
+    PartitionedStep step(graph, width, &team);
     TPA_RETURN_IF_ERROR(step.CheckRows());
     return step;
   }
 
-  /// Iteration i on every thread: x(0) is read from `x` and p(0) left in
-  /// its place (i == 0), or x(i) gathered from the p(i−1) in `x` and p(i)
-  /// left in `next` (i > 0).  In between, x(i) is scaled by `decay` and
-  /// accumulated into `acc` when `accumulate`, with the arithmetic of
-  /// ScaleAccumulateAndNorms.  Returns ‖x(i)‖₁.
-  double Step(int i, double decay, bool accumulate, V* x, V* next, V* acc) {
-    team_->Run([&](int t) {
-      if (static_cast<size_t>(t) + 1 >= bounds_.size()) return;
-      if (i == 0) {
-        PostPass<false>(t, decay, accumulate, x, x, acc);
-      } else {
-        PostPass<true>(t, decay, accumulate, x, next, acc);
-      }
-    });
-    double norm = 0.0;
-    for (const double chunk : chunk_norms_) norm += chunk;
-    return norm;
-  }
-
- private:
-  PartitionedStep(const Graph& graph, WorkerTeam& team)
-      : team_(&team),
+  PartitionedStep(const Graph& graph, size_t width, WorkerTeam* team)
+      : graph_(&graph),
+        width_(width),
+        team_(team),
         out_offsets_(graph.OutOffsets().data()),
         in_offsets_(graph.InOffsets().data()),
         in_sources_(graph.InSources().data()) {
@@ -211,9 +174,9 @@ class PartitionedStep {
     }
     const NodeId n = graph.num_nodes();
     const size_t chunks = CpiNormChunks(n);
-    chunk_norms_.assign(chunks, 0.0);
-    const size_t parts =
-        std::min<size_t>(team.size(), std::max<size_t>(chunks, 1));
+    chunk_norms_.assign(chunks * width, 0.0);
+    const size_t parts = std::min<size_t>(team == nullptr ? 1 : team->size(),
+                                          std::max<size_t>(chunks, 1));
     // Cost of the rows before chunk k: their in-edges plus the rows.
     const auto cost_before = [&](size_t k) {
       const NodeId v = static_cast<NodeId>(
@@ -235,6 +198,46 @@ class PartitionedStep {
     }
   }
 
+  /// Iteration i: x(0) is read from `x` and p(0) left in its place
+  /// (i == 0), or x(i) gathered from the p(i−1) in `x` and p(i) left in
+  /// `next` (i > 0).  In between, x(i) is scaled by `decay` and accumulated
+  /// into `acc` in the columns marked `accumulating`.  Leaves ‖x(i)‖₁ per
+  /// column in `norms`.
+  void Step(int i, double decay, const std::vector<char>& accumulating, V* x,
+            V* next, V* acc, std::vector<double>& norms) {
+    const auto pass = [&](int t) {
+      if (static_cast<size_t>(t) + 1 >= bounds_.size()) return;
+      la::DispatchWidth(width_, [&]<size_t kWidth>(size_t col, auto stride) {
+        if (i == 0) {
+          PostPass<kWidth, false>(t, col, stride, decay, accumulating, x, x,
+                                  acc);
+        } else {
+          PostPass<kWidth, true>(t, col, stride, decay, accumulating, x, next,
+                                 acc);
+        }
+      });
+    };
+    if (team_ != nullptr) {
+      team_->Run(pass);
+    } else {
+      pass(0);
+    }
+    std::fill(norms.begin(), norms.end(), 0.0);
+    for (size_t k = 0; k < chunk_norms_.size(); k += width_) {
+      for (size_t b = 0; b < width_; ++b) norms[b] += chunk_norms_[k + b];
+    }
+  }
+
+  /// The sparse head's hand-over: turns the block x(i) on `rows` into p(i)
+  /// in place.  Off the head's frontier x(i) is +0.0, and so is p(i).
+  void FormProducts(std::span<const NodeId> rows, V* x) const {
+    for (const NodeId u : rows) {
+      const V w = Weight(u);
+      for (size_t b = 0; b < width_; ++b) x[u * width_ + b] *= w;
+    }
+  }
+
+ private:
   Status CheckRows() {
     const NodeId n = bounds_.back();
     std::vector<NodeId> unequal(bounds_.size(), n);
@@ -281,39 +284,51 @@ class PartitionedStep {
     return static_cast<V>(1.0 / static_cast<double>(end - begin));
   }
 
-  template <bool kGather>
-  void PostPass(int t, double decay, bool accumulate, const V* x, V* out,
+  /// Thread t's rows of one column slab (see la::DispatchWidth).
+  template <size_t kWidth, bool kGather, typename Stride>
+  void PostPass(int t, size_t col, Stride stride, double decay,
+                const std::vector<char>& accumulating, const V* x, V* out,
                 V* acc) {
+    char accumulate[kWidth];
+    std::copy_n(accumulating.begin() + col, kWidth, accumulate);
     for (NodeId c = bounds_[t]; c < bounds_[t + 1]; c += kCpiNormChunkRows) {
       const NodeId chunk_end =
           std::min<NodeId>(c + kCpiNormChunkRows, bounds_[t + 1]);
-      double sum = 0.0;
+      double sums[kWidth] = {};
       for (NodeId v = c; v < chunk_end; ++v) {
-        V y{0};
+        V y[kWidth] = {};
         if constexpr (kGather) {
-          for (uint64_t e = in_offsets_[v]; e < in_offsets_[v + 1]; ++e) {
-            y += x[in_sources_[e]];
-          }
+          graph_->GatherRow<kWidth>(v, x + col, stride, y);
         } else {
-          y = x[v];
+          std::copy_n(x + v * stride + col, kWidth, y);
         }
-        const V scaled = static_cast<V>(static_cast<double>(y) * decay);
-        if (accumulate) acc[v] += static_cast<double>(scaled);
-        sum += std::abs(static_cast<double>(scaled));
-        out[v] = Weight(v) * scaled;
+        const V w = Weight(v);
+        V* __restrict ar = acc + v * stride + col;
+        V* pr = out + v * stride + col;
+        for (size_t b = 0; b < kWidth; ++b) {
+          const V scaled = static_cast<V>(static_cast<double>(y[b]) * decay);
+          ar[b] = accumulate[b]
+                      ? static_cast<V>(ar[b] + static_cast<double>(scaled))
+                      : ar[b];
+          sums[b] += std::abs(static_cast<double>(scaled));
+          pr[b] = w * scaled;
+        }
       }
-      chunk_norms_[c / kCpiNormChunkRows] = sum;
+      std::copy_n(sums, kWidth,
+                  &chunk_norms_[c / kCpiNormChunkRows * width_ + col]);
     }
   }
 
-  WorkerTeam* team_;
+  const Graph* graph_;
+  size_t width_;
+  WorkerTeam* team_;  // null: the calling thread runs the one range
   const uint64_t* out_offsets_;
   const uint64_t* in_offsets_;
   const NodeId* in_sources_;
   const V* values_ = nullptr;  // kExplicit: the per-edge values
   const V* scales_ = nullptr;  // scaled kRowConstant: one weight per row
   std::vector<NodeId> bounds_;  // thread t owns [bounds_[t], bounds_[t+1])
-  std::vector<double> chunk_norms_;
+  std::vector<double> chunk_norms_;  // chunk k, column b at k·width + b
 };
 
 /// Scans column 0 of x for its support and leaves it, sorted, in
@@ -369,18 +384,20 @@ bool AbortAfterIteration(QueryContext* context, int i,
 }
 
 /// The CPI loop (paper Algorithm 1) over B columns at once, sharing one
-/// SpMM sweep per iteration.  Preconditions: options validated; the tier-V
-/// block x of the workspace holds x(0) (n × B, B = columns.size()); `acc`
-/// is a zeroed n × B row-major accumulator; when `sparse`, ws.frontier
-/// holds the sorted union support of x(0); `contexts` is empty or aligned
-/// with the columns (null entries allowed).
+/// propagation sweep per iteration.  Preconditions: options validated; the
+/// tier-V block x of the workspace holds x(0) (n × B, B = columns.size());
+/// `acc` is a zeroed n × B row-major accumulator; when `sparse`,
+/// ws.frontier holds the sorted union support of x(0); `contexts` is empty
+/// or aligned with the columns (null entries allowed).
 ///
-/// The first iterations run sparse over the union frontier until it
-/// exceeds the density threshold, the tail dense.  Column b stops
-/// accumulating — and its ResultT fields freeze — at the first iteration
-/// where its interim norm drops below ε, its context aborts, or (column 0
-/// of a width-1 run) the observer asks to stop; the frozen column keeps
-/// riding the shared SpMM (cheaper than compacting the block), so its
+/// The first iterations run sparse, scattering from the union frontier
+/// (CsrMatrixT::SpMmTransposeFrontier), until it holds more than the
+/// density threshold's share of the rows; the tail runs the dense step
+/// (`dense`, or a team-less one built here).  Column b stops accumulating
+/// — and its ResultT fields freeze — at the first iteration where its
+/// interim norm drops below ε, its context aborts, or (column 0 of a
+/// width-1 run) the observer asks to stop; the frozen column keeps riding
+/// the shared sweep (cheaper than compacting the block), so its
 /// accumulator is bitwise the width-1 run of that column alone.  Per
 /// column, convergence outranks the observer's stop, which outranks the
 /// abort: a run stopped by its own tolerance is a complete answer even if
@@ -395,7 +412,7 @@ void RunLoop(const Graph& graph, const CpiOptions& options, Cpi::Workspace& ws,
              bool sparse, V* acc, std::span<Cpi::ResultT<V>> columns,
              Observer&& observer,
              std::span<QueryContext* const> contexts = {},
-             PartitionedStep<V>* partitioned = nullptr) {
+             PartitionedStep<V>* dense = nullptr) {
   const NodeId n = graph.num_nodes();
   const size_t width = columns.size();
   const double decay = 1.0 - options.restart_probability;
@@ -403,6 +420,8 @@ void RunLoop(const Graph& graph, const CpiOptions& options, Cpi::Workspace& ws,
       options.frontier_density_threshold * static_cast<double>(n);
   la::DenseBlockT<V>& x = WsBlockX<V>(ws);
   la::DenseBlockT<V>& next = WsBlockNext<V>(ws);
+  std::optional<PartitionedStep<V>> serial;
+  if (dense == nullptr) dense = &serial.emplace(graph, width, nullptr);
 
   if (sparse && static_cast<double>(ws.frontier.size()) > limit) {
     sparse = false;
@@ -421,33 +440,33 @@ void RunLoop(const Graph& graph, const CpiOptions& options, Cpi::Workspace& ws,
     // Propagation-site failpoint (no-op unless TPA_FAILPOINTS=ON): a delay
     // armed here makes a deadline expire mid-query deterministically.
     if (i > 0) TPA_FAILPOINT_HIT("cpi.iteration");
-    if (partitioned != nullptr) {
-      // Dense at width 1: gather and post-pass fused on the team's threads.
-      norms[0] = partitioned->Step(i, step, accumulating[0] != 0,
-                                   x.RowPtr(0), next.RowPtr(0), acc);
-      if (i > 0) x.swap(next);
-    } else {
+    if (sparse && i > 0 && static_cast<double>(ws.frontier.size()) > limit) {
+      // The frontier outgrew the head (the kernel's own fall-through test,
+      // so it is never taken): the run is dense from here on, and the
+      // gather reads p(i−1).
+      sparse = false;
+      dense->FormProducts(ws.frontier, x.RowPtr(0));
+    }
+    if (sparse) {
       if (i > 0) {
-        if (sparse) {
-          // Re-zero the stale support of the recycled buffer (the interim
-          // block from two iterations ago), then scatter from the frontier;
-          // above the density threshold the kernel falls through to the
-          // dense sweep and the run stays dense from here on.
-          for (NodeId j : ws.next_frontier) {
-            V* row = next.RowPtr(j);
-            std::fill(row, row + width, V{0});
-          }
-          sparse = graph.TransitionT<V>().SpMmTransposeFrontier(
-              x, ws.frontier, options.frontier_density_threshold, next,
-              ws.next_frontier, ws.scratch);
-        } else {
-          graph.MultiplyTransposeBlockT<V>(x, next);
+        // Re-zero the stale support of the recycled buffer (the interim
+        // block from two iterations ago), then scatter from the frontier.
+        for (NodeId j : ws.next_frontier) {
+          V* row = next.RowPtr(j);
+          std::fill(row, row + width, V{0});
         }
+        graph.TransitionT<V>().SpMmTransposeFrontier(
+            x, ws.frontier, options.frontier_density_threshold, next,
+            ws.next_frontier, ws.scratch);
         x.swap(next);
-        if (sparse) ws.frontier.swap(ws.next_frontier);
+        ws.frontier.swap(ws.next_frontier);
       }
-      ScaleAccumulateAndNorms<V>(step, sparse ? &ws.frontier : nullptr,
-                                 accumulating, x, acc, norms);
+      ScaleAccumulateAndNorms<V>(step, ws.frontier, accumulating, x, acc,
+                                 norms);
+    } else {
+      dense->Step(i, step, accumulating, x.RowPtr(0), next.RowPtr(0), acc,
+                  norms);
+      if (i > 0) x.swap(next);
     }
     const bool stop = observer.AfterIteration(i, sparse, norms[0], ws.frontier);
     for (size_t b = 0; b < width; ++b) {
@@ -733,7 +752,8 @@ StatusOr<Cpi::ResultT<V>> Cpi::RunWithSeedVectorT(const Graph& graph,
   }
   std::optional<PartitionedStep<V>> partitioned;
   if (team != nullptr) {
-    TPA_ASSIGN_OR_RETURN(partitioned, PartitionedStep<V>::Create(graph, *team));
+    TPA_ASSIGN_OR_RETURN(partitioned,
+                         PartitionedStep<V>::Create(graph, 1, *team));
   }
   const bool sparse =
       !partitioned && options.frontier_density_threshold > 0.0 &&

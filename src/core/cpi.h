@@ -28,6 +28,15 @@ inline size_t CpiNormChunks(NodeId num_nodes) {
   return (size_t{num_nodes} + kCpiNormChunkRows - 1) / kCpiNormChunkRows;
 }
 
+/// The default sparse-head crossover of CpiOptions and TpaOptions.  A
+/// sweep of the family-window CPI (S = 5) on the gather over {0.001,
+/// 0.002, 0.004, 0.008, 0.03, 0.125} was flat (within 8%) from 0.002 to
+/// 0.008 at scale 17 width 1 and at scale 21 width 16, and about 45%
+/// slower at 0.125: past a few hub rows a frontier reaches most edges,
+/// where the head pays a touch mark and a sort per destination that the
+/// gather does not.
+inline constexpr double kDefaultFrontierDensityThreshold = 0.004;
+
 /// Options for Cumulative Power Iteration (paper Algorithm 1).
 struct CpiOptions {
   /// Restart probability c (the paper uses 0.15 everywhere).
@@ -40,14 +49,13 @@ struct CpiOptions {
   /// convergence.
   int terminal_iteration = kUnbounded;
   /// Frontier-adaptive propagation: iterations run frontier-sparse —
-  /// scattering only from the interim vector's nonzero rows and touching
+  /// scattering only from the interim block's nonzero rows and touching
   /// only the rows they reach — while the frontier holds at most this
-  /// fraction of all nodes, then switch permanently to the dense kernels.
-  /// 0 disables the sparse head (every iteration dense); 1 stays sparse to
-  /// convergence.  Results are bitwise-identical at any setting; this is
-  /// purely a throughput knob (`bench_kernels --json` records the measured
-  /// crossover).
-  double frontier_density_threshold = 0.125;
+  /// fraction of all nodes, then switch permanently to the dense step, the
+  /// destination gather over every edge.  0 disables the sparse head
+  /// (every iteration dense); 1 stays sparse to convergence.  Results are
+  /// bitwise-identical at any setting; this is purely a throughput knob.
+  double frontier_density_threshold = kDefaultFrontierDensityThreshold;
 
   static constexpr int kUnbounded = std::numeric_limits<int>::max();
 };
@@ -143,13 +151,12 @@ class Cpi {
   /// A non-null `team` runs every iteration dense and on all of the team's
   /// threads (Tpa::Preprocess is the one caller): each thread owns one
   /// contiguous destination range, balanced by in-edges plus rows, and
-  /// gathers every owned node's in-neighbors in ascending source order —
-  /// the order in which the serial scatter adds into that node — then
-  /// runs the range's post-pass.  ‖x(i)‖₁ is summed over the fixed
-  /// kCpiNormChunkRows-row chunks in the serial run's order, so the scores,
-  /// the norms and the stop iteration are bitwise those of the serial run
-  /// at any team size.  The gather needs one weight per source node, so the
-  /// run fails with InvalidArgument when a kExplicit row holds unequal
+  /// runs the dense step — the destination gather and its post-pass — on
+  /// it.  ‖x(i)‖₁ is summed over the fixed kCpiNormChunkRows-row chunks in
+  /// the serial run's order, so the scores, the norms and the stop
+  /// iteration are bitwise those of the serial run at any team size.  The
+  /// gather needs one weight per source node, so the run checks for it
+  /// and fails with InvalidArgument when a kExplicit row holds unequal
   /// values or an in-CSR row is not in ascending source order (neither
   /// happens in a graph from GraphBuilder or the out-of-core builder).
   template <typename V>
@@ -166,15 +173,15 @@ class Cpi {
   }
 
   /// Batched CPI: runs the window for B single-node seeds at once, sharing
-  /// one SpMM sweep over the CSR arrays per iteration instead of B
-  /// independent sweeps.  This is the loop every entry point runs — RunT,
+  /// one sweep over the CSR arrays per iteration instead of B independent
+  /// sweeps.  This is the loop every entry point runs — RunT,
   /// RunWithSeedVectorT and RunTopKT are its width-1 case.  The first
   /// iterations run sparse over the batch's union frontier, the tail dense.
   /// Vector b of the returned block is bitwise-identical to RunT(graph,
   /// {seeds[b]}, options).scores — each seed's accumulation stops at
   /// exactly the iteration where its own width-1 run would have converged,
-  /// and the blocked kernels' arithmetic per vector does not depend on the
-  /// width (see CsrMatrixT::SpMmTranspose).  Fails on invalid options, an
+  /// and the arithmetic of the head and the gather per vector does not
+  /// depend on the width.  Fails on invalid options, an
   /// empty batch, or an out-of-range seed.
   ///
   /// `contexts`, when non-empty, must align index-for-index with `seeds`

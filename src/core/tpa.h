@@ -36,14 +36,13 @@ struct TpaOptions {
   int stranger_start = 10;
   /// Sparse/dense crossover of the adaptive propagation head, forwarded to
   /// CpiOptions::frontier_density_threshold (results identical at any
-  /// setting; see that field).
-  double frontier_density_threshold = 0.125;
-  /// The crossover used by QueryTopK instead of the one above.  A top-k
-  /// query never materializes the dense merge, so its optimum shifts far
-  /// toward staying sparse: on the scale-17 R-MAT serving host the family
-  /// propagation alone bottoms out near 0.002 (2.44 ms/query vs 3.85 dense)
-  /// while full queries — which pay the dense merge regardless — prefer the
-  /// 0.125 default.  Results identical at any setting.
+  /// setting; see kDefaultFrontierDensityThreshold for the sweep behind
+  /// the default).
+  double frontier_density_threshold = kDefaultFrontierDensityThreshold;
+  /// The crossover used by QueryTopK instead of the one above.  On the
+  /// scale-17 R-MAT serving host the top-k family propagation bottoms out
+  /// near 0.002 (2.44 ms/query vs 3.85 dense, measured on the scatter the
+  /// gather replaced).  Results identical at any setting.
   double topk_frontier_density_threshold = 0.002;
   /// Threads Preprocess runs its stranger-tail CPI and stranger-order sort
   /// on; 0 (the default) means std::thread::hardware_concurrency().  The

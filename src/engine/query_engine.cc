@@ -55,14 +55,14 @@ int ResolveBatchBlockSize(int requested, const Graph& graph,
   if (!method.SupportsBatchQuery()) return 0;
   if (graph.SizeBytes() <= DetectLastLevelCacheBytes()) return 0;
   // One group block row per 64-byte cache line: 8 fp64 seeds or 16 fp32
-  // seeds.  The scatter's per-edge cost is one line RMW either way, so the
+  // seeds.  The gather's per-edge cost is one line read either way, so the
   // fp32 tier serves twice the seeds per CSR traversal at the same line
   // traffic — where its headline SpMM speedup comes from
   // (BENCH_kernels.json precision rows).  Value storage does not enter
   // this formula: dropping the value array narrows the *streamed* CSR
   // bytes per edge (12 → 4 at fp64), but the group width is pinned by the
-  // *scattered* multivector row — width × value bytes must stay one line,
-  // or every edge RMWs multiple lines of y and the amortization inverts
+  // *gathered* multivector row — width × value bytes must stay one line,
+  // or every edge reads multiple lines of p and the amortization inverts
   // (verified empirically: see BENCH_kernels.json value-free spmm rows,
   // which peak at the same widths as their explicit twins).
   return static_cast<int>(64 /

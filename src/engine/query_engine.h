@@ -57,7 +57,7 @@ struct QueryEngineOptions {
   /// kAuto (the default) picks at Create time from exactly that trade-off:
   /// when the graph's CSR bytes exceed the detected last-level cache,
   /// groups sized so one block row fills a 64-byte cache line — 8 seeds at
-  /// fp64, 16 at fp32 (the scatter pays one line per edge either way, so
+  /// fp64, 16 at fp32 (the gather reads one line per edge either way, so
   /// the fp32 tier shares each traversal across twice the seeds) — and
   /// per-seed fan-out otherwise.  The CSR bytes are the *actual
   /// materialized* bytes, so the cheaper layouts cross the threshold
@@ -65,7 +65,7 @@ struct QueryEngineOptions {
   /// (ValueStorage::kRowConstant) at ≈4 — a value-free graph stays on the
   /// cache-resident per-seed path up to ~3× the edge count.  Value
   /// storage does not change the group width, only the threshold: the
-  /// width is pinned by the scattered block row filling one line, not by
+  /// width is pinned by the gathered block row filling one line, not by
   /// the streamed CSR bytes.  Explicit
   /// values are the escape hatch: 0 or 1 forces per-seed fan-out, ≥ 2
   /// forces that group size.  The resolved value is visible through

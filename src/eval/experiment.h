@@ -14,9 +14,9 @@
 namespace tpa {
 
 /// Default logical memory budget for preprocessed data, standing in for the
-/// paper's 200 GB workstation cap at our graph scale (Section 3 of
-/// DESIGN.md).  Methods whose preprocessing footprint crosses it are
-/// reported "OOM", reproducing the missing bars of Figure 1.
+/// paper's 200 GB workstation cap at our graph scale (README.md,
+/// "Reproducing the paper").  Methods whose preprocessing footprint crosses
+/// it are reported "OOM", reproducing the missing bars of Figure 1.
 inline constexpr size_t kDefaultMemoryBudgetBytes = 192ull << 20;  // 192 MB
 
 /// Number of random query seeds; the paper averages over 30 — experiments

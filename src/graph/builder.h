@@ -27,7 +27,7 @@ enum class NodeOrdering {
   kOriginal,
   /// Nodes sorted by total (in+out) degree, descending, ties toward the
   /// smaller original id.  Hubs become contiguous low ids, so the hot rows
-  /// of the scatter share cache lines — the cheap locality fallback when a
+  /// of propagation share cache lines — the cheap locality fallback when a
   /// full SlashBurn run is not worth its preprocessing cost.
   kDegreeDescending,
   /// SlashBurn hub-and-spoke ordering (reorder::SlashBurn with default

@@ -1,7 +1,9 @@
 #include "graph/graph.h"
 
+#include <algorithm>
 #include <utility>
 
+#include "la/width_dispatch.h"
 #include "util/check.h"
 
 namespace tpa {
@@ -101,6 +103,52 @@ void Graph::EnsureTier(la::Precision tier) {
     has_fp32_ = true;
   }
 }
+
+template <typename V>
+void Graph::MultiplyTransposeT(const std::vector<V>& x,
+                               std::vector<V>& y) const {
+  TPA_DCHECK(x.size() == num_nodes_);
+  y.resize(num_nodes_);
+  GatherTranspose(x.data(), 1, y.data());
+}
+
+template <typename V>
+void Graph::MultiplyTransposeBlockT(const la::DenseBlockT<V>& x,
+                                    la::DenseBlockT<V>& y) const {
+  TPA_DCHECK(x.rows() == num_nodes_);
+  y.Resize(num_nodes_, x.num_vectors());
+  GatherTranspose(x.RowPtr(0), x.num_vectors(), y.RowPtr(0));
+}
+
+template <typename V>
+void Graph::GatherTranspose(const V* x, size_t width, V* y) const {
+  const la::CsrMatrixT<V>& transition = TransitionT<V>();
+  const uint64_t* out_offsets = out_structure_.row_offsets.data();
+  std::vector<V> p(size_t{num_nodes_} * width);
+  for (NodeId u = 0; u < num_nodes_; ++u) {
+    if (out_offsets[u] == out_offsets[u + 1]) continue;  // never gathered
+    const V w = transition.EdgeWeight(u, out_offsets[u]);
+    for (size_t b = 0; b < width; ++b) {
+      p[u * width + b] = w * x[u * width + b];
+    }
+  }
+  la::DispatchWidth(width, [&]<size_t kWidth>(size_t col, auto stride) {
+    for (NodeId v = 0; v < num_nodes_; ++v) {
+      V sum[kWidth] = {};
+      GatherRow<kWidth>(v, p.data() + col, stride, sum);
+      std::copy_n(sum, kWidth, y + v * stride + col);
+    }
+  });
+}
+
+template void Graph::MultiplyTransposeT<double>(const std::vector<double>&,
+                                                std::vector<double>&) const;
+template void Graph::MultiplyTransposeT<float>(const std::vector<float>&,
+                                               std::vector<float>&) const;
+template void Graph::MultiplyTransposeBlockT<double>(const la::DenseBlock&,
+                                                     la::DenseBlock&) const;
+template void Graph::MultiplyTransposeBlockT<float>(const la::DenseBlockF&,
+                                                    la::DenseBlockF&) const;
 
 NodeId Graph::CountDangling() const {
   NodeId count = 0;

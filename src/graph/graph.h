@@ -45,8 +45,8 @@ enum class ValueStorage : uint8_t {
 /// arrays on the out-CSR.  The normalized edge weights (1/out-degree of the
 /// source) are materialized once (or, under ValueStorage::kRowConstant,
 /// read from a per-node scale), so the transition-matrix product Ã^T·x that
-/// dominates every method's runtime is a pure CSR scatter with no per-edge
-/// degree lookup or division.
+/// dominates every method's runtime reads one weight per source row, with
+/// no per-edge degree lookup or division.
 ///
 /// Dual-tier layout: the topology (offsets + indices) lives in
 /// la::CsrStructure bundles held by shared_ptr, and each precision tier is
@@ -61,9 +61,12 @@ enum class ValueStorage : uint8_t {
 /// structure directly and work regardless of tiers; the typed matrix
 /// accessors CHECK that the requested tier is materialized.
 ///
-/// Propagation always scatters over out-edges.  The in-edge topology carries
-/// no values: it serves the in-neighbor walks of the push-style local
-/// methods, HubPPR, and graph statistics.
+/// Dense propagation gathers over in-edges (GatherRow): each destination
+/// sums the products p(u) = w(u)·x(u) of its in-neighbors, which are the
+/// values the out-CSR scatter adds into it, in the order it adds them.
+/// The in-edge topology carries no values; it also serves the in-neighbor
+/// walks of the push-style local methods, HubPPR, and graph statistics.
+/// The out-CSR scatter remains the frontier-sparse head of CPI.
 ///
 /// Dangling nodes (out-degree 0) lose their score mass during propagation,
 /// matching CPI's column-substochastic treatment; graph sources that need
@@ -165,27 +168,50 @@ class Graph {
   /// Number of dangling (out-degree zero) nodes.
   NodeId CountDangling() const;
 
-  /// y = Ã^T x via push/scatter over out-edges.  y is resized and zeroed.
+  /// y = Ã^T x, with y resized and every entry written: the width-1 case of
+  /// MultiplyTransposeBlockT.
   template <typename V>
-  void MultiplyTransposeT(const std::vector<V>& x, std::vector<V>& y) const {
-    TransitionT<V>().SpMvTranspose(x, y);
-  }
+  void MultiplyTransposeT(const std::vector<V>& x, std::vector<V>& y) const;
   void MultiplyTranspose(const std::vector<double>& x,
                          std::vector<double>& y) const {
     MultiplyTransposeT<double>(x, y);
   }
 
-  /// Y = Ã^T X for a whole block of vectors in one sweep over the out-edge
-  /// CSR arrays; vector b of Y is bitwise-identical to MultiplyTranspose on
-  /// vector b of X (see CsrMatrixT::SpMmTranspose).
+  /// Y = Ã^T X for a block of vectors, with Y resized to n × B and every
+  /// entry written: p(u) = w(u)·x(u) is formed in a scratch block, then
+  /// every row of Y is gathered once (GatherRow).  Per vector, bitwise the
+  /// reference scatter CsrMatrixT::SpMmTranspose, and so MultiplyTransposeT
+  /// of that vector alone.
   template <typename V>
   void MultiplyTransposeBlockT(const la::DenseBlockT<V>& x,
-                               la::DenseBlockT<V>& y) const {
-    TransitionT<V>().SpMmTranspose(x, y);
-  }
+                               la::DenseBlockT<V>& y) const;
   void MultiplyTransposeBlock(const la::DenseBlock& x,
                               la::DenseBlock& y) const {
     MultiplyTransposeBlockT<double>(x, y);
+  }
+
+  /// The destination gather of every dense propagation: adds into y[b],
+  /// for each in-neighbor u of v in the in-CSR's order, p[u·stride + b]
+  /// for b < kWidth.  With p(u) = w(u)·x(u), these are the products the
+  /// out-CSR scatter adds into v, in the order it adds them, so from
+  /// y = +0.0 the sum is bitwise the scatter's.  That needs each in-row in
+  /// ascending source order and one weight per out-row, which every
+  /// builder's graph has and Tpa::Preprocess checks.
+  /// A source row of a cache line or more is prefetched 16 edges ahead:
+  /// above the LLC that hides most of the random row fetch's latency.
+  template <size_t kWidth, typename V, typename Stride>
+  void GatherRow(NodeId v, const V* p, Stride stride, V* y) const {
+    const uint64_t* offsets = in_structure_.row_offsets.data();
+    const NodeId* sources = in_structure_.col_indices.data();
+    for (uint64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+      if constexpr (kWidth * sizeof(V) >= 64) {
+        if (e + 16 < in_structure_.nnz()) {
+          __builtin_prefetch(p + size_t{sources[e + 16]} * stride);
+        }
+      }
+      const V* __restrict pu = p + size_t{sources[e]} * stride;
+      for (size_t b = 0; b < kWidth; ++b) y[b] += pu[b];
+    }
   }
 
   /// The external↔internal node-id mapping applied by GraphBuilder when a
@@ -227,6 +253,9 @@ class Graph {
 
   template <typename V>
   void MaterializeTierT(la::CsrMatrixT<V>& out) const;
+  /// The two transpose products on raw n × width row-major blocks.
+  template <typename V>
+  void GatherTranspose(const V* x, size_t width, V* y) const;
 
   NodeId num_nodes_ = 0;
   la::Precision precision_ = la::Precision::kFloat64;

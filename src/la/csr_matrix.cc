@@ -128,123 +128,19 @@ void DispatchVals(CsrValueMode mode, const SharedArray<V>& values,
   }
 }
 
-/// Prefetch distance for the dense kernels' random-access operand (the
-/// scattered y row).  The column-index stream names each destination this
-/// many edges in advance; issuing the prefetch there hides the L2-missing
-/// latency that otherwise dominates once the vector operand outgrows L2 —
-/// and is what the kernels' per-edge cost is mostly made of on large graphs
-/// (the streamed CSR bytes are the smaller part, which is also why
-/// value-free storage only pays off once this latency is hidden).
-constexpr uint64_t kPrefetchDistance = 16;
-
+/// The reference scatter y[col[e]] += w(e)·x[r] over every row in
+/// ascending order, for a row-major block of `width` vectors (width 1 is
+/// SpMvTranspose).  A row whose block row is entirely zero is skipped.
 template <typename V, typename Vals>
-void SpMvTransposeLoop(const uint64_t* offsets, const uint32_t* indices,
-                       Vals vals, uint32_t rows, uint64_t nnz, const V* x,
-                       V* y) {
-  // Same destination look-ahead as the block scatter (SpMmTransposeRows):
-  // the upcoming y lines are named by the index stream, and prefetching
-  // them is what keeps the loop bandwidth-bound instead of latency-bound.
+void ScatterRows(const uint64_t* offsets, const uint32_t* indices, Vals vals,
+                 uint32_t rows, size_t width, const V* x, V* y) {
   for (uint32_t r = 0; r < rows; ++r) {
-    const V xr = x[r];
-    if (xr == V{0}) continue;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin == end) continue;
-      const V p = vals.Row(r) * xr;
-      for (uint64_t e = begin; e < end; ++e) {
-        if (e + kPrefetchDistance < nnz) {
-          __builtin_prefetch(&y[indices[e + kPrefetchDistance]], 1);
-        }
-        y[indices[e]] += p;
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        if (e + kPrefetchDistance < nnz) {
-          __builtin_prefetch(&y[indices[e + kPrefetchDistance]], 1);
-        }
-        y[indices[e]] += vals.Edge(e) * xr;
-      }
-    }
-  }
-}
-
-/// The SpMM inner loops are specialized on the block width so the per-edge
-/// update over B right-hand sides unrolls and vectorizes — with a runtime
-/// bound the compiler keeps a loop (and an alias check) on the hottest
-/// three instructions of the library.  Widths up to 16 cover every group
-/// size the engine dispatches by default; wider blocks fall back to the
-/// runtime loop.  Destinations update in native V (see the class comment).
-template <size_t kWidth, typename V, typename Vals>
-void SpMmTransposeRows(const uint64_t* offsets, const uint32_t* indices,
-                       Vals vals, uint32_t rows, uint64_t nnz,
-                       const DenseBlockT<V>& x, DenseBlockT<V>& y) {
-  // The scatter destinations are known kPrefetch edges ahead from the
-  // column-index stream; prefetching them hides the block-row fetch
-  // latency that dominates once the n×B output outgrows L2 (a B-wide block
-  // row is up to two cache lines, vs one eighth of a line for scalar
-  // SpMvTranspose).
-  constexpr uint64_t kPrefetch = kPrefetchDistance;
-  for (uint32_t r = 0; r < rows; ++r) {
-    const V* __restrict xr = x.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < kWidth; ++b) any_nonzero |= (xr[b] != V{0});
-    if (!any_nonzero) continue;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin == end) continue;
-      // Hoist the per-row products: the inner loop is then a pure
-      // index-streamed add — no value load, no multiply.
-      V p[kWidth];
-      const V w = vals.Row(r);
-      for (size_t b = 0; b < kWidth; ++b) p[b] = w * xr[b];
-      for (uint64_t e = begin; e < end; ++e) {
-        if (e + kPrefetch < nnz) {
-          __builtin_prefetch(y.RowPtr(indices[e + kPrefetch]), 1);
-        }
-        V* __restrict yr = y.RowPtr(indices[e]);
-        for (size_t b = 0; b < kWidth; ++b) yr[b] += p[b];
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        if (e + kPrefetch < nnz) {
-          __builtin_prefetch(y.RowPtr(indices[e + kPrefetch]), 1);
-        }
-        const V w = vals.Edge(e);
-        V* __restrict yr = y.RowPtr(indices[e]);
-        for (size_t b = 0; b < kWidth; ++b) yr[b] += w * xr[b];
-      }
-    }
-  }
-}
-
-template <typename V, typename Vals>
-void SpMmTransposeRowsGeneric(const uint64_t* offsets, const uint32_t* indices,
-                              Vals vals, uint32_t rows, size_t num_vectors,
-                              const DenseBlockT<V>& x, DenseBlockT<V>& y) {
-  std::vector<V> p(num_vectors);
-  for (uint32_t r = 0; r < rows; ++r) {
-    const V* __restrict xr = x.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < num_vectors; ++b) any_nonzero |= (xr[b] != V{0});
-    if (!any_nonzero) continue;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin == end) continue;
-      const V w = vals.Row(r);
-      for (size_t b = 0; b < num_vectors; ++b) p[b] = w * xr[b];
-      for (uint64_t e = begin; e < end; ++e) {
-        V* __restrict yr = y.RowPtr(indices[e]);
-        for (size_t b = 0; b < num_vectors; ++b) yr[b] += p[b];
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        const V w = vals.Edge(e);
-        V* __restrict yr = y.RowPtr(indices[e]);
-        for (size_t b = 0; b < num_vectors; ++b) yr[b] += w * xr[b];
-      }
+    const V* xr = x + size_t{r} * width;
+    if (std::all_of(xr, xr + width, [](V v) { return v == V{0}; })) continue;
+    for (uint64_t e = offsets[r]; e < offsets[r + 1]; ++e) {
+      const V w = Vals::kRowConstantWeight ? vals.Row(r) : vals.Edge(e);
+      V* yr = y + size_t{indices[e]} * width;
+      for (size_t b = 0; b < width; ++b) yr[b] += w * xr[b];
     }
   }
 }
@@ -325,12 +221,10 @@ void CsrMatrixT<V>::SpMvTranspose(const std::vector<V>& x,
                                   std::vector<V>& y) const {
   TPA_DCHECK(x.size() == rows());
   y.assign(cols(), V{0});
-  if (rows() == 0) return;
   const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
   DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    SpMvTransposeLoop(offsets, indices, vals, rows(), nnz(), x.data(),
-                      y.data());
+    ScatterRows(offsets, structure_.col_indices.data(), vals, rows(), 1,
+                x.data(), y.data());
   });
 }
 
@@ -338,113 +232,48 @@ template <typename V>
 void CsrMatrixT<V>::SpMmTranspose(const DenseBlockT<V>& x,
                                   DenseBlockT<V>& y) const {
   TPA_DCHECK(x.rows() == rows());
-  const size_t num_vectors = x.num_vectors();
-  y.Resize(cols(), num_vectors);
+  y.Resize(cols(), x.num_vectors());
   y.SetZero();
-  if (rows() == 0) return;
   const uint64_t* offsets = structure_.row_offsets.data();
-  const uint32_t* indices = structure_.col_indices.data();
   DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    DispatchWidth(
-        num_vectors,
-        [&]<size_t kWidth>() {
-          SpMmTransposeRows<kWidth>(offsets, indices, vals, rows(), nnz(), x,
-                                    y);
-        },
-        [&] {
-          SpMmTransposeRowsGeneric(offsets, indices, vals, rows(), num_vectors,
-                                   x, y);
-        });
+    ScatterRows(offsets, structure_.col_indices.data(), vals, rows(),
+                x.num_vectors(), x.RowPtr(0), y.RowPtr(0));
   });
 }
 
 namespace {
 
-/// Inner loop of the block frontier scatter, width-specialized like the
-/// dense SpMmTranspose.  Touched destinations are collected once via the
-/// epoch marks; the caller sorts them afterwards.
-template <size_t kWidth, typename V, typename Vals>
+/// Inner loop of the block frontier scatter over one column slab of a
+/// row-major block with `stride` columns (see DispatchWidth).  Touched
+/// destinations are collected once via the epoch marks, so the later slabs
+/// of a wider block add none twice; the caller sorts them afterwards.
+template <size_t kWidth, typename V, typename Vals, typename Stride>
 void SpMmTransposeFrontierRows(const uint64_t* offsets, const uint32_t* indices,
                                Vals vals, std::span<const uint32_t> frontier,
-                               const DenseBlockT<V>& x, DenseBlockT<V>& y,
+                               Stride stride, const V* x, V* y,
                                std::vector<uint32_t>& next_frontier,
                                FrontierScratch& scratch) {
   for (uint32_t r : frontier) {
-    const V* __restrict xr = x.RowPtr(r);
+    const V* __restrict xr = x + size_t{r} * stride;
     bool any_nonzero = false;
     for (size_t b = 0; b < kWidth; ++b) any_nonzero |= (xr[b] != V{0});
-    if (!any_nonzero) continue;
     const uint64_t begin = offsets[r];
     const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin == end) continue;
-      V p[kWidth];
-      const V w = vals.Row(r);
+    if (!any_nonzero || begin == end) continue;
+    // A row-constant weight hoists the row's products out of the edge loop.
+    V p[kWidth];
+    const auto products = [&](V w) {
       for (size_t b = 0; b < kWidth; ++b) p[b] = w * xr[b];
-      for (uint64_t e = begin; e < end; ++e) {
-        const uint32_t dest = indices[e];
-        V* __restrict yr = y.RowPtr(dest);
-        for (size_t b = 0; b < kWidth; ++b) yr[b] += p[b];
-        if (scratch.touched_epoch[dest] != scratch.epoch) {
-          scratch.touched_epoch[dest] = scratch.epoch;
-          next_frontier.push_back(dest);
-        }
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        const uint32_t dest = indices[e];
-        const V w = vals.Edge(e);
-        V* __restrict yr = y.RowPtr(dest);
-        for (size_t b = 0; b < kWidth; ++b) yr[b] += w * xr[b];
-        if (scratch.touched_epoch[dest] != scratch.epoch) {
-          scratch.touched_epoch[dest] = scratch.epoch;
-          next_frontier.push_back(dest);
-        }
-      }
-    }
-  }
-}
-
-template <typename V, typename Vals>
-void SpMmTransposeFrontierRowsGeneric(const uint64_t* offsets,
-                                      const uint32_t* indices, Vals vals,
-                                      std::span<const uint32_t> frontier,
-                                      size_t num_vectors,
-                                      const DenseBlockT<V>& x,
-                                      DenseBlockT<V>& y,
-                                      std::vector<uint32_t>& next_frontier,
-                                      FrontierScratch& scratch) {
-  std::vector<V> p(num_vectors);
-  for (uint32_t r : frontier) {
-    const V* __restrict xr = x.RowPtr(r);
-    bool any_nonzero = false;
-    for (size_t b = 0; b < num_vectors; ++b) any_nonzero |= (xr[b] != V{0});
-    if (!any_nonzero) continue;
-    const uint64_t begin = offsets[r];
-    const uint64_t end = offsets[r + 1];
-    if constexpr (Vals::kRowConstantWeight) {
-      if (begin == end) continue;
-      const V w = vals.Row(r);
-      for (size_t b = 0; b < num_vectors; ++b) p[b] = w * xr[b];
-      for (uint64_t e = begin; e < end; ++e) {
-        const uint32_t dest = indices[e];
-        V* __restrict yr = y.RowPtr(dest);
-        for (size_t b = 0; b < num_vectors; ++b) yr[b] += p[b];
-        if (scratch.touched_epoch[dest] != scratch.epoch) {
-          scratch.touched_epoch[dest] = scratch.epoch;
-          next_frontier.push_back(dest);
-        }
-      }
-    } else {
-      for (uint64_t e = begin; e < end; ++e) {
-        const uint32_t dest = indices[e];
-        const V w = vals.Edge(e);
-        V* __restrict yr = y.RowPtr(dest);
-        for (size_t b = 0; b < num_vectors; ++b) yr[b] += w * xr[b];
-        if (scratch.touched_epoch[dest] != scratch.epoch) {
-          scratch.touched_epoch[dest] = scratch.epoch;
-          next_frontier.push_back(dest);
-        }
+    };
+    if constexpr (Vals::kRowConstantWeight) products(vals.Row(r));
+    for (uint64_t e = begin; e < end; ++e) {
+      if constexpr (!Vals::kRowConstantWeight) products(vals.Edge(e));
+      const uint32_t dest = indices[e];
+      V* __restrict yr = y + size_t{dest} * stride;
+      for (size_t b = 0; b < kWidth; ++b) yr[b] += p[b];
+      if (scratch.touched_epoch[dest] != scratch.epoch) {
+        scratch.touched_epoch[dest] = scratch.epoch;
+        next_frontier.push_back(dest);
       }
     }
   }
@@ -471,21 +300,16 @@ bool CsrMatrixT<V>::SpMmTransposeFrontier(const DenseBlockT<V>& x,
   scratch.BeginEpoch(cols());
   next_frontier.clear();
   if (rows() == 0) return true;
-  const size_t num_vectors = x.num_vectors();
+  const size_t width = x.num_vectors();
   const uint64_t* offsets = structure_.row_offsets.data();
   const uint32_t* indices = structure_.col_indices.data();
   DispatchVals<V>(mode_, values_, scales_, offsets, [&](auto vals) {
-    DispatchWidth(
-        num_vectors,
-        [&]<size_t kWidth>() {
-          SpMmTransposeFrontierRows<kWidth>(offsets, indices, vals, frontier,
-                                            x, y, next_frontier, scratch);
-        },
-        [&] {
-          SpMmTransposeFrontierRowsGeneric(offsets, indices, vals, frontier,
-                                           num_vectors, x, y, next_frontier,
-                                           scratch);
-        });
+    DispatchWidth(width, [&]<size_t kWidth>(size_t col, auto stride) {
+      SpMmTransposeFrontierRows<kWidth>(offsets, indices, vals, frontier,
+                                        stride, x.RowPtr(0) + col,
+                                        y.RowPtr(0) + col, next_frontier,
+                                        scratch);
+    });
   });
   std::sort(next_frontier.begin(), next_frontier.end());
   return true;

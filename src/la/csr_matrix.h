@@ -81,8 +81,9 @@ CsrStructure MakeCsrStructure(uint32_t rows, uint32_t cols,
 /// Bytes of the index structure alone (offsets + indices).
 size_t CsrStructureBytes(const CsrStructure& structure);
 
-/// Immutable CSR matrix specialized for the repository's hot loop: the
-/// transition-matrix products Ã^T·x that every RWR method iterates.
+/// Immutable CSR matrix holding Ã, the out-CSR of every Graph: the
+/// frontier-sparse scatter of CPI's head, and the reference scatter that
+/// Graph's destination gather (the dense propagation) is pinned against.
 ///
 /// Unlike SparseMatrix (the assembly-friendly triplet format used by the
 /// block-elimination precomputations), CsrMatrixT is built directly from
@@ -106,10 +107,10 @@ size_t CsrStructureBytes(const CsrStructure& structure);
 ///
 /// V is the storage precision tier of the edge values and the vector/block
 /// operands (see Precision).  The kernels are scatters — y[col[e]] +=
-/// values[e] · x[r], CPI's one propagation direction Ã^T·x over the
-/// out-CSR — and update destinations in native V (one product + add
-/// rounding per edge), which is what lets the fp32 inner loop vectorize at
-/// twice the fp64 lane width instead of paying a convert per operand:
+/// values[e] · x[r], Ã^T·x over the out-CSR — and update destinations in
+/// native V (one product + add rounding per edge), which is what lets the
+/// fp32 inner loop vectorize at twice the fp64 lane width instead of
+/// paying a convert per operand:
 /// per-destination error O(in-degree · eps_f32), the same order a V-typed
 /// accumulator implies in any case.  The V = double instantiation is
 /// bitwise-identical to the historical all-double kernels.
@@ -182,7 +183,10 @@ class CsrMatrixT {
   V EdgeWeight(uint32_t r, uint64_t e) const;
 
   /// y = A^T x (scatter over rows).  y is resized and zeroed first.
-  /// Requires x.size() == rows().
+  /// Requires x.size() == rows().  This and SpMmTranspose are the plain
+  /// reference scatter: the frontier head's fall-through and the kernel
+  /// tests run them, while Graph propagates with the destination gather
+  /// (Graph::MultiplyTransposeBlockT), which matches them bitwise.
   void SpMvTranspose(const std::vector<V>& x, std::vector<V>& y) const;
 
   /// Multi-vector scatter: Y = A^T X, one CSR sweep updating all B vectors

@@ -12,7 +12,7 @@ namespace tpa::la {
 
 /// Minimal allocator aligning DenseBlock storage to cache-line boundaries,
 /// so an 8-vector block row is exactly one 64-byte line (not two straddled
-/// ones) in the SpMM scatter.
+/// ones) in the blocked propagation kernels.
 ///
 /// It aligns inside an ordinary allocation one line larger, keeping the
 /// base pointer just below the aligned address, instead of calling the
@@ -48,7 +48,7 @@ struct CacheAlignedAllocator {
 };
 
 /// A block of B equally-sized column vectors — the multivector operand of
-/// the batched SpMM kernels (CsrMatrixT::SpMmTranspose and its variants).
+/// the blocked propagation kernels (Graph's gather, the frontier scatter).
 ///
 /// Layout: viewed as the B×n matrix whose rows are the B vectors, storage is
 /// column-major — the B entries belonging to one graph node (one "block

@@ -304,6 +304,8 @@ int CmdInfo(ArgList& args) {
       "  nodes=%llu edges=%llu precision=%s storage=%s\n"
       "  tiers: fp64=%d fp32=%d permutation=%d\n"
       "  tpa: c=%g eps=%g S=%d T=%d\n"
+      "  sparse head: frontier_density_threshold=%g "
+      "topk_frontier_density_threshold=%g\n"
       "  file: %llu bytes, %u sections\n",
       path.c_str(), static_cast<unsigned long long>(info->num_nodes),
       static_cast<unsigned long long>(info->num_edges),
@@ -313,7 +315,8 @@ int CmdInfo(ArgList& args) {
       info->has_fp64 ? 1 : 0, info->has_fp32 ? 1 : 0,
       info->has_permutation ? 1 : 0, info->options.restart_probability,
       info->options.tolerance, info->options.family_window,
-      info->options.stranger_start,
+      info->options.stranger_start, info->options.frontier_density_threshold,
+      info->options.topk_frontier_density_threshold,
       static_cast<unsigned long long>(info->file_bytes), info->section_count);
   return 0;
 }
