@@ -423,8 +423,36 @@ bool BitwiseEqual(const la::DenseBlock& a, const la::DenseBlock& b) {
                      a.rows() * a.num_vectors() * sizeof(double)) == 0;
 }
 
-/// The sparse-head crossover: one frontier scatter at a synthetic frontier
-/// of f rows (deterministically spread over the id space), timed for the
+/// Node ids in breadth-first order over out-edges from `source` — the
+/// direction CPI propagates — restarting at the smallest unvisited id when
+/// a component runs out.  The first f entries are the frontier of f rows a
+/// CPI seeded at `source` grows into: it reaches the hubs within a hop or
+/// two, so it covers far more edges than f ids spread over the id space.
+std::vector<uint32_t> BfsOrder(const Graph& graph, uint32_t source) {
+  const uint32_t n = graph.num_nodes();
+  std::vector<uint32_t> order = {source};
+  order.reserve(n);
+  std::vector<bool> seen(n, false);
+  seen[source] = true;
+  uint32_t next_root = 0;
+  for (size_t head = 0; order.size() < n; ++head) {
+    if (head == order.size()) {
+      while (seen[next_root]) ++next_root;
+      seen[next_root] = true;
+      order.push_back(next_root);
+    }
+    for (uint32_t v : graph.OutNeighbors(order[head])) {
+      if (!seen[v]) {
+        seen[v] = true;
+        order.push_back(v);
+      }
+    }
+  }
+  return order;
+}
+
+/// The sparse-head crossover: one frontier scatter at a frontier of f rows
+/// (the first f nodes a BFS from a fixed seed reaches), timed for the
 /// width-1 block kernel (the "spmv" columns: what a single-seed CPI runs)
 /// and the width-8 one against the gather at the same width.  The
 /// crossover density — where the head stops winning — is what
@@ -442,6 +470,11 @@ int RunCrossoverSweep(const SweepArgs& args) {
   TPA_CHECK(graph.ok());
   const la::CsrMatrix& csr = graph->Transition();
   const uint32_t n = csr.rows();
+  // A fixed, hashed seed that is not dangling (its only out-edge would be
+  // the builder's self-loop).
+  uint32_t source = static_cast<uint32_t>(uint64_t{2654435761u} % n);
+  while (graph->OutDegree(source) <= 1) source = (source + 1) % n;
+  const std::vector<uint32_t> reach = BfsOrder(*graph, source);
 
   std::vector<SweepRow> rows;
   bool all_equal = true;
@@ -452,20 +485,15 @@ int RunCrossoverSweep(const SweepArgs& args) {
 
     la::DenseBlock x(n, 1);
     la::DenseBlock bx(n, kBlockWidth);
-    std::vector<uint32_t> frontier;
-    frontier.reserve(f);
-    for (size_t i = 0; i < f; ++i) {
-      const auto r = static_cast<uint32_t>((uint64_t{i} * 2654435761u) % n);
+    std::vector<uint32_t> frontier(reach.begin(), reach.begin() + f);
+    std::sort(frontier.begin(), frontier.end());
+    for (uint32_t r : frontier) {
       x.At(r, 0) = 1.0 / static_cast<double>(f);
       // Columns differ, so a column mix-up cannot pass the bitwise check.
       for (size_t b = 0; b < kBlockWidth; ++b) {
         bx.At(r, b) = x.At(r, 0) * static_cast<double>(b + 1);
       }
-      frontier.push_back(r);
     }
-    std::sort(frontier.begin(), frontier.end());
-    frontier.erase(std::unique(frontier.begin(), frontier.end()),
-                   frontier.end());
 
     la::DenseBlock y(n, 1);
     std::vector<uint32_t> next_frontier;
@@ -538,6 +566,7 @@ int RunCrossoverSweep(const SweepArgs& args) {
   out << "  \"graph\": {\"scale\": " << args.scale << ", \"nodes\": " << n
       << ", \"edges\": " << csr.nnz() << "},\n";
   out << "  \"block_width\": " << kBlockWidth << ",\n";
+  out << "  \"bfs_source\": " << source << ",\n";
   out << "  \"spmv_crossover_density\": " << spmv_crossover << ",\n";
   out << "  \"spmm_crossover_density\": " << spmm_crossover << ",\n";
   out << "  \"rows\": [\n";

@@ -162,7 +162,6 @@ bool QueryEngine::EntryCompatible(const CachedResult& entry) const {
 
 bool QueryEngine::UseNativeTopKPath() const {
   return options_.top_k > 0 && method_->SupportsTopKQuery() &&
-         graph_->permutation() == nullptr &&
          (cache_ == nullptr || options_.cache_topk_only);
 }
 
@@ -209,20 +208,15 @@ StatusOr<la::DenseBlockT<V>> QueryBlockT(
 
 /// Fans an SpMM result block back into per-seed dense vectors in one pass
 /// over the block rows (per-vector ExtractVector would re-stream the whole
-/// n×B block B times), translating internal→external row positions on the
-/// fly when the graph is reordered.
+/// n×B block B times).
 template <typename V>
-std::vector<std::vector<V>> FanOutBlock(const la::DenseBlockT<V>& block,
-                                        const Permutation* permutation) {
+std::vector<std::vector<V>> FanOutBlock(const la::DenseBlockT<V>& block) {
   const size_t rows = block.rows();
   const size_t num_vectors = block.num_vectors();
   std::vector<std::vector<V>> dense(num_vectors, std::vector<V>(rows));
   for (size_t r = 0; r < rows; ++r) {
     const V* row = block.RowPtr(r);
-    const size_t e = permutation != nullptr
-                         ? permutation->ToExternal(static_cast<NodeId>(r))
-                         : r;
-    for (size_t b = 0; b < num_vectors; ++b) dense[b][e] = row[b];
+    for (size_t b = 0; b < num_vectors; ++b) dense[b][r] = row[b];
   }
   return dense;
 }
@@ -358,12 +352,6 @@ void QueryEngine::ComputeT(std::span<const Request> misses) {
     return;
   }
 
-  // The method speaks the graph's internal storage order; translate the
-  // seeds in and the dense vectors back out (see Permutation).
-  const Permutation* permutation = graph_->permutation();
-  const auto internal = [permutation](NodeId seed) {
-    return permutation != nullptr ? permutation->ToInternal(seed) : seed;
-  };
   const auto finish = [this](const Request& request, std::vector<V> dense) {
     QueryResult& result = *request.result;
     const bool cacheable = FinalizeAbort(request.context, result);
@@ -374,16 +362,13 @@ void QueryEngine::ComputeT(std::span<const Request> misses) {
   if (group_width_ <= 1 || misses.size() <= 1) {
     for (const Request& request : misses) {
       StatusOr<std::vector<V>> scores = call_method([&] {
-        return QueryDenseT<V>(*method_, internal(request.result->seed),
-                              request.context);
+        return QueryDenseT<V>(*method_, request.result->seed, request.context);
       });
       if (!scores.ok()) {
         request.result->status = scores.status();
         continue;
       }
-      std::vector<V> dense = std::move(scores).value();
-      if (permutation != nullptr) dense = permutation->ScoresToExternal(dense);
-      finish(request, std::move(dense));
+      finish(request, std::move(scores).value());
     }
     return;
   }
@@ -393,7 +378,7 @@ void QueryEngine::ComputeT(std::span<const Request> misses) {
   group.reserve(misses.size());
   contexts.reserve(misses.size());
   for (const Request& request : misses) {
-    group.push_back(internal(request.result->seed));
+    group.push_back(request.result->seed);
     contexts.push_back(request.context);
   }
   StatusOr<la::DenseBlockT<V>> block = call_method(
@@ -404,7 +389,7 @@ void QueryEngine::ComputeT(std::span<const Request> misses) {
     }
     return;
   }
-  std::vector<std::vector<V>> dense = FanOutBlock(*block, permutation);
+  std::vector<std::vector<V>> dense = FanOutBlock(*block);
   for (size_t k = 0; k < misses.size(); ++k) {
     finish(misses[k], std::move(dense[k]));
   }

@@ -117,11 +117,8 @@ struct QueryResult {
 /// method — the paper's client–server scenario (many seed queries against
 /// TPA state precomputed once).
 ///
-/// When the graph was built with a locality ordering (BuildOptions::
-/// node_ordering), the engine is the translation boundary: incoming seeds
-/// are mapped to the internal storage order before the method runs, and
-/// dense vectors / top-k entries are mapped back, so clients always speak
-/// the original node ids.
+/// Seeds, dense vectors and top-k entries all speak the graph's node ids,
+/// the ids of the input edge list: there is no translation layer.
 ///
 /// The engine serves at the graph's precision tier (Graph::
 /// value_precision): on an fp32 graph it requires a method that opts in
@@ -230,13 +227,11 @@ class QueryEngine {
   /// Whether top-k requests route through the method's native bound-driven
   /// path (RwrMethod::QueryTopK) instead of dense-query-then-partial-sort.
   /// Requires top_k > 0 and a method opting in via SupportsTopKQuery, and
-  /// excludes two configurations where the dense vector is needed anyway:
-  /// a reordered graph (the method speaks internal ids, and the engine's
-  /// score translation — including equal-score tie-breaks — is defined on
-  /// the dense external vector) and a dense-entry cache (the miss must
-  /// deposit the full vector for later dense requests).  Routed results are
-  /// score-exact: the engine always disables early termination, so the
-  /// (node, score) pairs stay bitwise-identical to the dense path's.
+  /// excludes a dense-entry cache, where the dense vector is needed anyway
+  /// (the miss must deposit the full vector for later dense requests).
+  /// Routed results are score-exact: the engine always disables early
+  /// termination, so the (node, score) pairs stay bitwise-identical to the
+  /// dense path's.
   bool UseNativeTopKPath() const;
 
   /// Whether a stored entry can serve this engine's requests: same

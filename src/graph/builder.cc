@@ -1,11 +1,8 @@
 #include "graph/builder.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
-#include "graph/permutation.h"
-#include "reorder/slashburn.h"
 #include "util/check.h"
 
 namespace tpa {
@@ -14,12 +11,13 @@ namespace {
 
 using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
 
-/// The out-adjacency half of the CSR build (counting sort over the sorted
-/// edge list) — all the structure SlashBurn's ordering pass needs, without
-/// the transpose, the weights, or Graph validation.
-std::pair<std::vector<uint64_t>, std::vector<NodeId>> OutAdjacency(
-    NodeId num_nodes, const EdgeList& edges) {
+/// Converts a cleaned (sorted, deduplicated, dangling-resolved) edge list
+/// into the CSR Graph.  `edges` must be sorted by (u, v).
+StatusOr<Graph> FinalizeCsr(NodeId num_nodes, const EdgeList& edges,
+                            la::Precision precision,
+                            ValueStorage value_storage) {
   const size_t m = edges.size();
+  TPA_RETURN_IF_ERROR(ValidateEdgeCount(num_nodes, m));
   std::vector<uint64_t> out_offsets(static_cast<size_t>(num_nodes) + 1, 0);
   std::vector<NodeId> out_targets(m);
   for (const auto& [u, v] : edges) ++out_offsets[u + 1];
@@ -30,18 +28,6 @@ std::pair<std::vector<uint64_t>, std::vector<NodeId>> OutAdjacency(
     std::vector<uint64_t> cursor(out_offsets.begin(), out_offsets.end() - 1);
     for (const auto& [u, v] : edges) out_targets[cursor[u]++] = v;
   }
-  return {std::move(out_offsets), std::move(out_targets)};
-}
-
-/// Converts a cleaned (sorted, deduplicated, dangling-resolved) edge list
-/// into the CSR Graph.  `edges` must be sorted by (u, v).
-StatusOr<Graph> FinalizeCsr(NodeId num_nodes, const EdgeList& edges,
-                            la::Precision precision = la::Precision::kFloat64,
-                            ValueStorage value_storage =
-                                ValueStorage::kExplicit) {
-  const size_t m = edges.size();
-  TPA_RETURN_IF_ERROR(ValidateEdgeCount(num_nodes, m));
-  auto [out_offsets, out_targets] = OutAdjacency(num_nodes, edges);
   for (NodeId u = 0; u < num_nodes; ++u) {
     TPA_RETURN_IF_ERROR(
         ValidateRowDegree(u, out_offsets[u + 1] - out_offsets[u]));
@@ -67,38 +53,6 @@ StatusOr<Graph> FinalizeCsr(NodeId num_nodes, const EdgeList& edges,
   return Graph(num_nodes, std::move(out_offsets), std::move(out_targets),
                std::move(in_offsets), std::move(in_sources), precision,
                value_storage);
-}
-
-/// Internal storage order for kDegreeDescending: total (in+out) degree
-/// descending, ties toward the smaller original id, so hubs cluster at the
-/// low internal ids without a throwaway CSR build.
-std::vector<NodeId> DegreeDescendingOrder(NodeId num_nodes,
-                                          const EdgeList& edges) {
-  std::vector<uint64_t> degree(num_nodes, 0);
-  for (const auto& [u, v] : edges) {
-    ++degree[u];
-    ++degree[v];
-  }
-  std::vector<NodeId> order(num_nodes);
-  for (NodeId u = 0; u < num_nodes; ++u) order[u] = u;
-  std::stable_sort(order.begin(), order.end(),
-                   [&degree](NodeId a, NodeId b) {
-                     if (degree[a] != degree[b]) return degree[a] > degree[b];
-                     return a < b;
-                   });
-  return order;
-}
-
-/// Internal storage order for kHubCluster: SlashBurn over the out-adjacency
-/// arrays of the cleaned edges (spokes first in component blocks, hubs
-/// contiguous at the end).  No throwaway Graph build — the ordering pass
-/// never needs the transpose or the normalized weights.
-StatusOr<std::vector<NodeId>> HubClusterOrder(NodeId num_nodes,
-                                              const EdgeList& edges) {
-  const auto [out_offsets, out_targets] = OutAdjacency(num_nodes, edges);
-  TPA_ASSIGN_OR_RETURN(HubSpokeOrdering ordering,
-                       SlashBurn(num_nodes, out_offsets, out_targets, {}));
-  return std::move(ordering.old_of_new);
 }
 
 }  // namespace
@@ -189,40 +143,8 @@ StatusOr<Graph> GraphBuilder::Build(const BuildOptions& options) {
     }
   }
 
-  if (options.node_ordering == NodeOrdering::kOriginal) {
-    return FinalizeCsr(num_nodes_, edges, options.value_precision,
-                       options.value_storage);
-  }
-
-  // Locality ordering: compute the internal storage order on the cleaned
-  // edges (degrees and components are invariant under the dangling policy's
-  // self-loops), relabel every endpoint, re-sort, and attach the mapping so
-  // the serving boundary can translate back.  Self-loops stay self-loops and
-  // degrees are preserved, so no cleaning step needs re-running.
-  std::vector<NodeId> external_of_internal;
-  if (options.node_ordering == NodeOrdering::kDegreeDescending) {
-    external_of_internal = DegreeDescendingOrder(num_nodes_, edges);
-  } else {
-    TPA_ASSIGN_OR_RETURN(external_of_internal,
-                         HubClusterOrder(num_nodes_, edges));
-  }
-  TPA_ASSIGN_OR_RETURN(
-      Permutation permutation,
-      Permutation::FromInternalOrder(std::move(external_of_internal)));
-
-  const std::vector<NodeId>& to_internal = permutation.internal_of_external();
-  for (auto& [u, v] : edges) {
-    u = to_internal[u];
-    v = to_internal[v];
-  }
-  std::sort(edges.begin(), edges.end());
-
-  TPA_ASSIGN_OR_RETURN(Graph graph,
-                       FinalizeCsr(num_nodes_, edges, options.value_precision,
-                                   options.value_storage));
-  graph.AttachPermutation(
-      std::make_shared<const Permutation>(std::move(permutation)));
-  return graph;
+  return FinalizeCsr(num_nodes_, edges, options.value_precision,
+                     options.value_storage);
 }
 
 }  // namespace tpa

@@ -18,26 +18,6 @@ enum class DanglingPolicy {
   kAddSelfLoop,
 };
 
-/// Storage order of nodes in the built CSR arrays.  Anything other than
-/// kOriginal relabels nodes internally for cache locality and attaches the
-/// external↔internal Permutation to the Graph, so serving layers keep
-/// speaking original ids (see Permutation).
-enum class NodeOrdering {
-  /// Nodes stored under their original ids.
-  kOriginal,
-  /// Nodes sorted by total (in+out) degree, descending, ties toward the
-  /// smaller original id.  Hubs become contiguous low ids, so the hot rows
-  /// of propagation share cache lines — the cheap locality fallback when a
-  /// full SlashBurn run is not worth its preprocessing cost.
-  kDegreeDescending,
-  /// SlashBurn hub-and-spoke ordering (reorder::SlashBurn with default
-  /// options): spoke blocks first grouped by connected component, hubs
-  /// contiguous at the end — the paper's locality ordering.  Runs on the
-  /// builder's out-adjacency arrays directly (one counting sort over the
-  /// cleaned edges), no throwaway Graph build.
-  kHubCluster,
-};
-
 struct BuildOptions {
   /// Drop u→u edges present in the input (self-loops added by the dangling
   /// policy are exempt).
@@ -45,7 +25,6 @@ struct BuildOptions {
   /// Collapse duplicate (u, v) pairs to a single edge.
   bool deduplicate = true;
   DanglingPolicy dangling_policy = DanglingPolicy::kAddSelfLoop;
-  NodeOrdering node_ordering = NodeOrdering::kOriginal;
   /// Storage tier of the normalized edge values (see la::Precision):
   /// kFloat64 feeds the historical all-double pipeline bitwise-unchanged;
   /// kFloat32 materializes the CSR values at 4 bytes/edge for the fp32

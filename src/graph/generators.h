@@ -41,8 +41,8 @@ struct RmatOptions {
 /// Recursive-matrix (R-MAT) generator: heavy-tailed, self-similar graphs of
 /// the kind common in the graph-mining literature.  Fails on invalid
 /// probabilities (each in (0,1), a+b+c < 1) or edges == 0.
-/// `build_options` selects the finalized graph's precision tier, value
-/// storage, and node ordering (tpa_snapshot's build path).
+/// `build_options` selects the finalized graph's precision tier and value
+/// storage (tpa_snapshot's build path).
 StatusOr<Graph> GenerateRmat(const RmatOptions& options,
                              const BuildOptions& build_options = {});
 
@@ -53,8 +53,7 @@ StatusOr<Graph> GenerateRmat(const RmatOptions& options,
 /// generators share one edge-draw routine, so they consume the Rng
 /// identically), at a resident footprint set by
 /// `ooc_options.memory_budget_bytes` instead of by the edge count.
-/// `ooc_options.build` plays the role of `build_options` above, restricted
-/// to NodeOrdering::kOriginal.
+/// `ooc_options.build` plays the role of `build_options` above.
 StatusOr<OutOfCoreGraph> GenerateRmatOutOfCore(const RmatOptions& options,
                                                OutOfCoreOptions ooc_options);
 

@@ -75,8 +75,7 @@ Graph::Graph(const Graph& other, la::Precision tier)
       precision_(tier),
       value_storage_(other.value_storage_),
       out_structure_(other.out_structure_),  // aliases the shared topology
-      in_structure_(other.in_structure_),
-      permutation_(other.permutation_) {
+      in_structure_(other.in_structure_) {
   EnsureTier(tier);
 }
 

@@ -2,14 +2,13 @@
 #define TPA_GRAPH_GRAPH_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
 
-#include "graph/permutation.h"
 #include "la/csr_matrix.h"
 #include "la/precision.h"
+#include "util/check.h"
 
 namespace tpa {
 
@@ -214,17 +213,6 @@ class Graph {
     }
   }
 
-  /// The external↔internal node-id mapping applied by GraphBuilder when a
-  /// locality ordering was requested; null when nodes are stored in their
-  /// original order.  Serving layers translate at this boundary — see
-  /// Permutation.
-  const Permutation* permutation() const { return permutation_.get(); }
-
-  /// Attaches the build-time ordering (GraphBuilder only).
-  void AttachPermutation(std::shared_ptr<const Permutation> permutation) {
-    permutation_ = std::move(permutation);
-  }
-
   /// Logical bytes held by this graph (experiment reporting and the
   /// engine's kAuto batch heuristic): each direction's index structure
   /// counted once, plus the out-CSR value/scale array of every materialized
@@ -269,15 +257,14 @@ class Graph {
   // per value_storage_.  Unmaterialized tiers stay default-empty.
   la::CsrMatrix out_csr_;
   la::CsrMatrixF out_csr_f_;
-  std::shared_ptr<const Permutation> permutation_;  // null = original order
 };
 
 /// Re-materializes `graph` at the other precision tier: a sibling Graph
 /// whose primary tier is `precision` and whose index structure *aliases*
 /// the input's (shared_ptr topology — no O(nnz) copy; only the new tier's
-/// value arrays are built).  The permutation is shared too.  Used by
-/// benchmarks and tests to compare tiers on identical graphs, and by servers
-/// that load a graph once and serve both tiers off one topology.
+/// value arrays are built).  Used by benchmarks and tests to compare tiers
+/// on identical graphs, and by servers that load a graph once and serve both
+/// tiers off one topology.
 Graph RematerializeWithPrecision(const Graph& graph, la::Precision precision);
 
 }  // namespace tpa

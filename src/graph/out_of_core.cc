@@ -247,11 +247,6 @@ StatusOr<OutOfCoreGraphBuilder> OutOfCoreGraphBuilder::Create(
   if (options.csr_path.empty()) {
     return InvalidArgumentError("OutOfCoreOptions.csr_path is required");
   }
-  if (options.build.node_ordering != NodeOrdering::kOriginal) {
-    return UnimplementedError(
-        "out-of-core builds support NodeOrdering::kOriginal only (locality "
-        "orderings need the edge list in RAM)");
-  }
 
   // The two chunk buffers are the builder's dominant heap use; give each
   // 1/8 of the budget so the merge buffers, the dangling bitset, and the

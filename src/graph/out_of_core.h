@@ -32,8 +32,7 @@ namespace tpa {
 /// self-loops merged in id order, values/scales computed with the same
 /// fp64-reciprocal-rounded-once expression — so the resulting Graph (and
 /// any snapshot written from it) is bitwise-identical to the in-RAM build
-/// of the same edge sequence.  Locality orderings need the edge list in
-/// RAM, so only NodeOrdering::kOriginal is supported.
+/// of the same edge sequence.
 struct OutOfCoreOptions {
   /// The file-backed CSR this build produces ("TPACSR1" format).  Required.
   /// Reopenable later with OpenOutOfCoreGraph — the build is also a
@@ -48,7 +47,7 @@ struct OutOfCoreOptions {
   /// builder's dominant heap use) to a fraction of it; the mapped-page
   /// traffic on top is what a ResidentSteward bounds.  0 = defaults.
   size_t memory_budget_bytes = 0;
-  /// Cleaning/value configuration; node_ordering must be kOriginal.
+  /// Cleaning/value configuration, as for GraphBuilder::Build.
   BuildOptions build;
   /// msync the finished CSR before assembling the Graph (durability; the
   /// mapping itself is valid either way).
@@ -72,7 +71,7 @@ struct OutOfCoreGraph {
 
 class OutOfCoreGraphBuilder {
  public:
-  /// Validates options (node ordering, paths) and opens the spill files.
+  /// Validates options (paths) and opens the spill files.
   static StatusOr<OutOfCoreGraphBuilder> Create(NodeId num_nodes,
                                                 OutOfCoreOptions options);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 
 #include "util/check.h"
 
@@ -47,16 +48,8 @@ enum class NodeState : uint8_t { kActive, kSpoke, kHub };
 
 StatusOr<HubSpokeOrdering> SlashBurn(const Graph& graph,
                                      const SlashBurnOptions& options) {
-  return SlashBurn(graph.num_nodes(), graph.OutOffsets(), graph.OutTargets(),
-                   options);
-}
-
-StatusOr<HubSpokeOrdering> SlashBurn(NodeId num_nodes,
-                                     std::span<const uint64_t> out_offsets,
-                                     std::span<const NodeId> out_targets,
-                                     const SlashBurnOptions& options) {
-  TPA_CHECK_EQ(out_offsets.size(), static_cast<size_t>(num_nodes) + 1);
-  TPA_CHECK_EQ(out_offsets.back(), out_targets.size());
+  const std::span<const uint64_t> out_offsets = graph.OutOffsets();
+  const std::span<const NodeId> out_targets = graph.OutTargets();
   // The adjacency walk the whole algorithm is built from.
   const auto out_neighbors = [&](NodeId u) {
     return out_targets.subspan(out_offsets[u],
@@ -73,7 +66,7 @@ StatusOr<HubSpokeOrdering> SlashBurn(NodeId num_nodes,
     return InvalidArgumentError("max_hub_fraction must be in (0,1]");
   }
 
-  const NodeId n = num_nodes;
+  const NodeId n = graph.num_nodes();
   const NodeId hubs_per_round = std::max<NodeId>(
       1, static_cast<NodeId>(std::ceil(options.hub_fraction_per_round *
                                        static_cast<double>(n))));

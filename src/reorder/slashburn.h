@@ -2,7 +2,6 @@
 #define TPA_REORDER_SLASHBURN_H_
 
 #include <cstdint>
-#include <span>
 #include <utility>
 #include <vector>
 
@@ -49,17 +48,6 @@ struct HubSpokeOrdering {
 /// Runs SlashBurn-style iterative hub removal on the undirected view of
 /// `graph`.  Deterministic.  Fails on invalid options.
 StatusOr<HubSpokeOrdering> SlashBurn(const Graph& graph,
-                                     const SlashBurnOptions& options);
-
-/// Adjacency-view overload: the same algorithm over raw out-CSR index
-/// arrays (`out_offsets` has num_nodes+1 monotone entries indexing
-/// `out_targets`).  The algorithm only walks out-neighbors, so callers
-/// that have not built a Graph — GraphBuilder ordering its cleaned edge
-/// list — avoid the throwaway CSR build (in-edges, weights, validation)
-/// entirely.  The Graph overload delegates here; identical results.
-StatusOr<HubSpokeOrdering> SlashBurn(NodeId num_nodes,
-                                     std::span<const uint64_t> out_offsets,
-                                     std::span<const NodeId> out_targets,
                                      const SlashBurnOptions& options);
 
 }  // namespace tpa

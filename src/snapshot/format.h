@@ -9,6 +9,9 @@ namespace tpa::snapshot {
 /// On-disk snapshot format, version 2.  Version 1 also stored a weighted
 /// in-CSR (section ids 7 and 9, retired) for a gather propagation flavor
 /// that no longer exists; readers reject it through the version check.
+/// Version 2 files could also carry a build-time node permutation (section
+/// 15, flagged by the meta word now named retired_permutation); readers
+/// reject such a file by that word.
 ///
 /// Layout:
 ///   [SnapshotHeader: 64 bytes]
@@ -46,7 +49,7 @@ enum class SectionId : uint32_t {
   kStrangerF64 = 12,  // double × num_nodes   (fp64-precision preprocess)
   kStrangerF32 = 13,  // float × num_nodes    (fp32-precision preprocess)
   kStrangerOrder = 14,  // uint32 × num_nodes
-  kPermutation = 15,    // uint32 × num_nodes (external_of_internal)
+  // 15 is retired: it held a build-time node permutation.  Not reused.
 };
 
 struct SnapshotHeader {
@@ -80,7 +83,7 @@ struct MetaSection {
   uint32_t value_storage;   // ValueStorage: 0 = kExplicit, 1 = kRowConstant
   uint32_t has_fp64;        // which tiers carry materialized value layers
   uint32_t has_fp32;
-  uint32_t has_permutation;
+  uint32_t retired_permutation;  // zero; nonzero marked a node permutation
   uint32_t pad0;
   // TpaOptions of the preprocessed state.
   double restart_probability;

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "graph/graph.h"
-#include "graph/permutation.h"
 #include "la/csr_matrix.h"
 #include "la/shared_array.h"
 
@@ -36,7 +35,6 @@ class GraphFactory {
     // kRowConstant: the n-length 1/out-degree per-row scale.
     la::SharedArray<double> scales64;
     la::SharedArray<float> scales32;
-    std::shared_ptr<const Permutation> permutation;
   };
 
   static std::unique_ptr<Graph> Make(Parts parts) {
@@ -70,7 +68,6 @@ class GraphFactory {
             parts.scales32);
       }
     }
-    graph->permutation_ = std::move(parts.permutation);
     return graph;
   }
 

@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/permutation.h"
 #include "la/shared_array.h"
 #include "snapshot/format.h"
 #include "snapshot/graph_factory.h"
@@ -94,9 +93,6 @@ std::vector<SectionDesc> ExpectedSections(const MetaSection& meta) {
   expect(fp64_precision ? SectionId::kStrangerF64 : SectionId::kStrangerF32,
          n * (fp64_precision ? sizeof(double) : sizeof(float)));
   expect(SectionId::kStrangerOrder, n * sizeof(NodeId));
-  if (meta.has_permutation) {
-    expect(SectionId::kPermutation, n * sizeof(NodeId));
-  }
   return expected;
 }
 
@@ -110,14 +106,14 @@ Status CheckCsrDirection(const uint64_t* offsets, uint64_t n,
   return OkStatus();
 }
 
-/// Ranks/permutations must be bijections over [0, n).
-Status CheckNodePermutation(const uint32_t* nodes, uint64_t n,
-                            const std::string& path,
-                            const std::string& which) {
+/// The stranger order must be a bijection over [0, n).
+Status CheckStrangerOrder(const uint32_t* nodes, uint64_t n,
+                          const std::string& path) {
   std::vector<bool> seen(n, false);
   for (uint64_t i = 0; i < n; ++i) {
     if (nodes[i] >= n || seen[nodes[i]]) {
-      return CorruptError(path, which + " is not a permutation of [0, n)");
+      return CorruptError(path,
+                          "stranger order is not a permutation of [0, n)");
     }
     seen[nodes[i]] = true;
   }
@@ -207,6 +203,11 @@ StatusOr<ParsedSnapshot> ParseSnapshot(const std::string& path,
           static_cast<uint32_t>(ValueStorage::kRowConstant)) {
     return CorruptError(path, "meta enum field out of range");
   }
+  if (meta.retired_permutation != 0) {
+    return CorruptError(path,
+                        "stores a node permutation, which is retired (nodes "
+                        "keep their input ids); rebuild the snapshot");
+  }
   if (meta.num_nodes == 0 || meta.num_nodes > UINT32_MAX) {
     return CorruptError(path, "node count out of the NodeId range");
   }
@@ -261,16 +262,10 @@ StatusOr<ParsedSnapshot> ParseSnapshot(const std::string& path,
       CheckCsrDirection(out_offsets, n, out_indices, m, path, "out-CSR"));
   TPA_RETURN_IF_ERROR(
       CheckCsrDirection(in_offsets, n, in_indices, m, path, "in-CSR"));
-  TPA_RETURN_IF_ERROR(CheckNodePermutation(
+  TPA_RETURN_IF_ERROR(CheckStrangerOrder(
       reinterpret_cast<const uint32_t*>(
           parsed.Payload(*parsed.Find(SectionId::kStrangerOrder))),
-      n, path, "stranger order"));
-  if (meta.has_permutation) {
-    TPA_RETURN_IF_ERROR(CheckNodePermutation(
-        reinterpret_cast<const uint32_t*>(
-            parsed.Payload(*parsed.Find(SectionId::kPermutation))),
-        n, path, "permutation"));
-  }
+      n, path));
   return parsed;
 }
 
@@ -283,7 +278,6 @@ SnapshotInfo InfoFromParsed(const ParsedSnapshot& parsed) {
   info.value_storage = static_cast<ValueStorage>(meta.value_storage);
   info.has_fp64 = meta.has_fp64 != 0;
   info.has_fp32 = meta.has_fp32 != 0;
-  info.has_permutation = meta.has_permutation != 0;
   info.options.restart_probability = meta.restart_probability;
   info.options.tolerance = meta.tolerance;
   info.options.family_window = meta.family_window;
@@ -311,8 +305,8 @@ la::SharedArray<T> SectionArray(const ParsedSnapshot& parsed, SectionId id,
   return la::SharedArray<T>(std::vector<T>(data, data + count));
 }
 
-/// A section payload copied into a vector (the O(n) arrays Tpa and
-/// Permutation keep as plain vectors regardless of load mode).
+/// A section payload copied into a vector (the O(n) arrays Tpa keeps as
+/// plain vectors regardless of load mode).
 template <typename T>
 std::vector<T> SectionVector(const ParsedSnapshot& parsed, SectionId id) {
   const SectionDesc& desc = *parsed.Find(id);
@@ -340,7 +334,6 @@ Status WriteSnapshot(const Tpa& tpa, const std::string& path) {
   meta.value_storage = static_cast<uint32_t>(graph.value_storage());
   meta.has_fp64 = has_fp64 ? 1 : 0;
   meta.has_fp32 = has_fp32 ? 1 : 0;
-  meta.has_permutation = graph.permutation() != nullptr ? 1 : 0;
   const TpaOptions& options = tpa.options();
   meta.restart_probability = options.restart_probability;
   meta.tolerance = options.tolerance;
@@ -387,10 +380,6 @@ Status WriteSnapshot(const Tpa& tpa, const std::string& path) {
   }
   PushArraySection(sections, SectionId::kStrangerOrder,
                    tpa.stranger_order().data(), n);
-  if (graph.permutation() != nullptr) {
-    PushArraySection(sections, SectionId::kPermutation,
-                     graph.permutation()->external_of_internal().data(), n);
-  }
 
   // Lay out the file and checksum every payload before the first write, so
   // the header and table land in one forward pass.
@@ -481,14 +470,6 @@ StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path,
       parts.scales32 =
           SectionArray<float>(parsed, SectionId::kScalesF32, mode);
     }
-  }
-  if (meta.has_permutation) {
-    TPA_ASSIGN_OR_RETURN(
-        Permutation permutation,
-        Permutation::FromInternalOrder(
-            SectionVector<NodeId>(parsed, SectionId::kPermutation)));
-    parts.permutation =
-        std::make_shared<const Permutation>(std::move(permutation));
   }
 
   LoadedSnapshot loaded;

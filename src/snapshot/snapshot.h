@@ -69,7 +69,6 @@ struct SnapshotInfo {
   ValueStorage value_storage = ValueStorage::kExplicit;
   bool has_fp64 = false;
   bool has_fp32 = false;
-  bool has_permutation = false;
   TpaOptions options;
   uint64_t file_bytes = 0;
   uint32_t section_count = 0;
@@ -94,8 +93,8 @@ struct LoadedSnapshot {
 };
 
 /// Serializes the Tpa's full preprocessed state — graph topology, value
-/// layers of every materialized tier, permutation, stranger tail + order,
-/// and TpaOptions — into a versioned, checksummed snapshot at `path`.
+/// layers of every materialized tier, stranger tail + order, and
+/// TpaOptions — into a versioned, checksummed snapshot at `path`.
 /// The file is written beside `path` and renamed over it on success, so a
 /// process serving the old file from a kMap load keeps its old bytes, and
 /// a failed write leaves `path` untouched (see BinaryFileWriter).

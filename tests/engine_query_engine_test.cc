@@ -11,7 +11,6 @@
 
 #include "core/tpa.h"
 #include "engine/thread_pool.h"
-#include "graph/builder.h"
 #include "graph/generators.h"
 #include "la/vector_ops.h"
 #include "method/registry.h"
@@ -417,73 +416,6 @@ TEST(QueryEngineTest, AutoBatchBlockSizeFollowsCacheHeuristic) {
   EXPECT_FALSE(
       QueryEngine::Create(graph, std::make_unique<TpaMethod>(), invalid)
           .ok());
-}
-
-TEST(QueryEngineTest, ReorderedGraphServesOriginalNodeIds) {
-  // Engines over the original and a hub-reordered build of the same edges
-  // must be indistinguishable to clients: same dense vectors, same top-k
-  // ids, across the per-seed, SpMM-group, and cache-hit paths.
-  Graph original = ServingGraph();
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  for (NodeId u = 0; u < original.num_nodes(); ++u) {
-    for (NodeId v : original.OutNeighbors(u)) edges.emplace_back(u, v);
-  }
-  GraphBuilder builder(original.num_nodes());
-  builder.AddEdges(edges);
-  BuildOptions build_options;
-  build_options.node_ordering = NodeOrdering::kHubCluster;
-  auto reordered = builder.Build(build_options);
-  ASSERT_TRUE(reordered.ok());
-  ASSERT_NE(reordered->permutation(), nullptr);
-
-  const std::vector<NodeId> seeds = {0, 13, 250, 499, 13, 77};
-  for (int batch_block : {0, 3}) {
-    QueryEngineOptions options;
-    options.num_threads = 2;
-    options.batch_block_size = batch_block;
-    options.cache_capacity = 8;
-    auto base = QueryEngine::Create(original, std::make_unique<TpaMethod>(),
-                                    options);
-    auto permuted = QueryEngine::Create(*reordered,
-                                        std::make_unique<TpaMethod>(),
-                                        options);
-    ASSERT_TRUE(base.ok());
-    ASSERT_TRUE(permuted.ok());
-
-    for (int pass = 0; pass < 2; ++pass) {  // second pass hits the cache
-      auto expected = base->QueryBatch(seeds);
-      auto results = permuted->QueryBatch(seeds);
-      ASSERT_EQ(results.size(), expected.size());
-      for (size_t i = 0; i < seeds.size(); ++i) {
-        ASSERT_TRUE(results[i].status.ok()) << results[i].status;
-        EXPECT_EQ(results[i].seed, seeds[i]);
-        ASSERT_EQ(results[i].scores.size(), expected[i].scores.size());
-        for (size_t j = 0; j < expected[i].scores.size(); ++j) {
-          ASSERT_NEAR(results[i].scores[j], expected[i].scores[j], 1e-12)
-              << "block " << batch_block << " seed " << seeds[i] << " node "
-              << j;
-        }
-      }
-    }
-  }
-
-  // Top-k extraction reports original ids.
-  QueryEngineOptions topk_options;
-  topk_options.top_k = 10;
-  auto base = QueryEngine::Create(original, std::make_unique<TpaMethod>(),
-                                  topk_options);
-  auto permuted = QueryEngine::Create(*reordered,
-                                      std::make_unique<TpaMethod>(),
-                                      topk_options);
-  ASSERT_TRUE(base.ok());
-  ASSERT_TRUE(permuted.ok());
-  QueryResult expected = base->Query(42);
-  QueryResult got = permuted->Query(42);
-  ASSERT_EQ(got.top.size(), expected.top.size());
-  for (size_t k = 0; k < expected.top.size(); ++k) {
-    EXPECT_EQ(got.top[k].node, expected.top[k].node) << "rank " << k;
-    EXPECT_NEAR(got.top[k].score, expected.top[k].score, 1e-12);
-  }
 }
 
 TEST(ThreadPoolTest, DestructorDrainsEverySubmittedJob) {

@@ -348,15 +348,6 @@ TEST_F(OutOfCoreCorruptionTest, RejectsEdgeCountTheFileCannotHold) {
       << status;
 }
 
-TEST_F(OutOfCoreTest, LocalityOrderingsAreUnimplemented) {
-  OutOfCoreOptions ooc_options;
-  ooc_options.csr_path = CsrPath();
-  ooc_options.build.node_ordering = NodeOrdering::kDegreeDescending;
-  auto builder = OutOfCoreGraphBuilder::Create(16, std::move(ooc_options));
-  ASSERT_FALSE(builder.ok());
-  EXPECT_EQ(builder.status().code(), StatusCode::kUnimplemented);
-}
-
 TEST_F(OutOfCoreTest, MissingCsrPathIsRejected) {
   EXPECT_FALSE(OutOfCoreGraphBuilder::Create(16, {}).ok());
 }

@@ -5,7 +5,7 @@
 /// adversarial CSRs (empty rows, dangling kKeep graphs, boundary columns)
 /// and block widths 1–17.  Plus the dual-tier shared-structure Graph
 /// round-trip: EnsureTier / RematerializeWithPrecision aliasing one
-/// topology, SizeBytes accounting, and the permutation interplay.
+/// topology, and SizeBytes accounting.
 
 #include <gtest/gtest.h>
 
@@ -220,9 +220,8 @@ TEST(ValueFreeKernelTest, SizeBytesAccounting) {
 // Graph level: value-free storage end to end and the dual-tier round-trip.
 // ---------------------------------------------------------------------------
 
-StatusOr<Graph> BuildTestGraph(
-    ValueStorage storage, la::Precision precision, DanglingPolicy dangling,
-    NodeOrdering ordering = NodeOrdering::kOriginal) {
+StatusOr<Graph> BuildTestGraph(ValueStorage storage, la::Precision precision,
+                               DanglingPolicy dangling) {
   RmatOptions rmat;
   rmat.scale = 8;
   rmat.edges = 2500;
@@ -237,7 +236,6 @@ StatusOr<Graph> BuildTestGraph(
   options.value_storage = storage;
   options.value_precision = precision;
   options.dangling_policy = dangling;
-  options.node_ordering = ordering;
   return builder.Build(options);
 }
 
@@ -336,21 +334,18 @@ TEST(ValueFreeGraphTest, TierAccessorsCheckUnmaterializedTier) {
   EXPECT_DEATH(graph->TransitionF(), "fp32");
 }
 
-TEST(ValueFreeGraphTest, RematerializeSharesStructureAndPermutation) {
+TEST(ValueFreeGraphTest, RematerializeSharesStructure) {
   auto graph =
       BuildTestGraph(ValueStorage::kRowConstant, la::Precision::kFloat64,
-                     DanglingPolicy::kAddSelfLoop,
-                     NodeOrdering::kDegreeDescending);
+                     DanglingPolicy::kAddSelfLoop);
   ASSERT_TRUE(graph.ok());
-  ASSERT_NE(graph->permutation(), nullptr);
 
   Graph sibling = RematerializeWithPrecision(*graph, la::Precision::kFloat32);
   EXPECT_EQ(sibling.value_precision(), la::Precision::kFloat32);
   EXPECT_EQ(sibling.value_storage(), ValueStorage::kRowConstant);
-  // The sibling aliases the topology and the permutation — no O(nnz) copy.
+  // The sibling aliases the topology — no O(nnz) copy.
   EXPECT_EQ(sibling.TransitionF().structure().col_indices.data(),
             graph->Transition().structure().col_indices.data());
-  EXPECT_EQ(sibling.permutation(), graph->permutation());
 
   // The fp32 sibling's weights are the fp64 weights rounded once — spot
   // check through the mode-agnostic oracle.

@@ -1,10 +1,10 @@
 /// Snapshot persistence: save → load → query bitwise-identity across both
 /// precision tiers, both value-storage modes (covering both
-/// CsrValueModes), both load modes (mmap views and heap copies), and
-/// reordered graphs; warm-started engines (sync and async) serving bitwise
-/// the fresh-preprocess results; the corruption matrix (truncation, bad
-/// magic/version/endianness, checksum flips, an overflowing edge count)
-/// surfacing as Status errors —
+/// CsrValueModes), and both load modes (mmap views and heap copies);
+/// warm-started engines (sync and async) serving bitwise the
+/// fresh-preprocess results; the corruption matrix (truncation, bad
+/// magic/version/endianness, checksum flips, an overflowing edge count, the
+/// retired permutation flag) surfacing as Status errors —
 /// never crashes; mmap-view lifetime under ASan; and a rewrite of the
 /// file a kMap load is serving, which must not reach the old mapping.
 
@@ -36,8 +36,7 @@
 namespace tpa {
 namespace {
 
-Graph MakeGraph(la::Precision precision, ValueStorage storage,
-                NodeOrdering ordering = NodeOrdering::kOriginal) {
+Graph MakeGraph(la::Precision precision, ValueStorage storage) {
   RmatOptions rmat;
   rmat.scale = 8;
   rmat.edges = 4096;
@@ -45,7 +44,6 @@ Graph MakeGraph(la::Precision precision, ValueStorage storage,
   BuildOptions build;
   build.value_precision = precision;
   build.value_storage = storage;
-  build.node_ordering = ordering;
   auto graph = GenerateRmat(rmat, build);
   EXPECT_TRUE(graph.ok()) << graph.status().message();
   return std::move(*graph);
@@ -134,24 +132,6 @@ TEST_F(SnapshotTest, RoundTripIsBitwiseAcrossTiersStoragesAndLoadModes) {
   }
 }
 
-TEST_F(SnapshotTest, RoundTripPreservesPermutation) {
-  const Graph graph = MakeGraph(la::Precision::kFloat64,
-                                ValueStorage::kExplicit,
-                                NodeOrdering::kHubCluster);
-  ASSERT_NE(graph.permutation(), nullptr);
-  const Tpa fresh = MakeTpa(graph);
-  ASSERT_TRUE(fresh.SaveSnapshot(path_).ok());
-
-  auto loaded = Tpa::LoadSnapshot(path_);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().message();
-  ASSERT_NE(loaded->graph->permutation(), nullptr);
-  EXPECT_EQ(loaded->graph->permutation()->external_of_internal(),
-            graph.permutation()->external_of_internal());
-  for (NodeId seed : {NodeId{3}, NodeId{150}}) {
-    EXPECT_EQ(loaded->tpa->Query(seed), fresh.Query(seed));
-  }
-}
-
 TEST_F(SnapshotTest, InfoReflectsConfiguration) {
   const Graph graph =
       MakeGraph(la::Precision::kFloat32, ValueStorage::kRowConstant);
@@ -170,7 +150,6 @@ TEST_F(SnapshotTest, InfoReflectsConfiguration) {
   EXPECT_EQ(info->value_storage, ValueStorage::kRowConstant);
   EXPECT_FALSE(info->has_fp64);
   EXPECT_TRUE(info->has_fp32);
-  EXPECT_FALSE(info->has_permutation);
   EXPECT_EQ(info->options.family_window, 4);
   EXPECT_EQ(info->options.stranger_start, 9);
   EXPECT_EQ(info->section_count, 8u);
@@ -237,38 +216,60 @@ TEST_F(SnapshotTest, CorruptFilesAreRejectedWithClearErrors) {
   WriteFileBytes(bytes);
   expect_rejected("format v1", "unsupported format version 1");
 
-  // An edge count the file cannot hold, with every checksum recomputed: the
-  // m·4 / m·8 section sizes wrap modulo 2^64 back onto the real ones, so
-  // only an explicit bound on num_edges catches it.
-  {
-    bytes = clean;
+  // Writes `clean` with its meta section edited by `edit`, and the meta
+  // and section-table checksums recomputed so only the field check sees it.
+  const auto write_with_meta = [&](const auto& edit) {
+    std::vector<uint8_t> edited = clean;
     snapshot::SnapshotHeader header;
-    std::memcpy(&header, bytes.data(), sizeof(header));
+    std::memcpy(&header, edited.data(), sizeof(header));
     std::vector<snapshot::SectionDesc> table(header.section_count);
-    std::memcpy(table.data(), bytes.data() + header.section_table_offset,
+    std::memcpy(table.data(), edited.data() + header.section_table_offset,
                 table.size() * sizeof(snapshot::SectionDesc));
     for (snapshot::SectionDesc& desc : table) {
       if (desc.id != static_cast<uint32_t>(snapshot::SectionId::kMeta)) {
         continue;
       }
       snapshot::MetaSection meta;
-      std::memcpy(&meta, bytes.data() + desc.offset, sizeof(meta));
-      meta.num_edges += uint64_t{1} << 62;
-      std::memcpy(bytes.data() + desc.offset, &meta, sizeof(meta));
+      std::memcpy(&meta, edited.data() + desc.offset, sizeof(meta));
+      edit(meta);
+      std::memcpy(edited.data() + desc.offset, &meta, sizeof(meta));
       desc.crc = Crc32(&meta, sizeof(meta));
     }
-    std::memcpy(bytes.data() + header.section_table_offset, table.data(),
+    std::memcpy(edited.data() + header.section_table_offset, table.data(),
                 table.size() * sizeof(snapshot::SectionDesc));
     header.section_table_crc =
         Crc32(table.data(), table.size() * sizeof(snapshot::SectionDesc));
-    std::memcpy(bytes.data(), &header, sizeof(header));
-    WriteFileBytes(bytes);
+    std::memcpy(edited.data(), &header, sizeof(header));
+    WriteFileBytes(edited);
+  };
+  // ReadSnapshotInfo and LoadSnapshot name the field too (expect_rejected
+  // checks VerifySnapshot's message).
+  const auto expect_info_and_load_name = [&](const std::string& needle) {
     const auto info = snapshot::ReadSnapshotInfo(path_);
     ASSERT_FALSE(info.ok());
-    EXPECT_NE(info.status().message().find("edge count"), std::string::npos)
+    EXPECT_NE(info.status().message().find(needle), std::string::npos)
         << info.status().message();
-    expect_rejected("overflowing edge count", "edge count");
-  }
+    const auto loaded = snapshot::LoadSnapshot(path_);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find(needle), std::string::npos)
+        << loaded.status().message();
+  };
+
+  // An edge count the file cannot hold, with every checksum recomputed: the
+  // m·4 / m·8 section sizes wrap modulo 2^64 back onto the real ones, so
+  // only an explicit bound on num_edges catches it.
+  write_with_meta([](snapshot::MetaSection& meta) {
+    meta.num_edges += uint64_t{1} << 62;
+  });
+  expect_info_and_load_name("edge count");
+  expect_rejected("overflowing edge count", "edge count");
+
+  // The word that once flagged a stored node permutation must stay zero.
+  write_with_meta([](snapshot::MetaSection& meta) {
+    meta.retired_permutation = 1;
+  });
+  expect_info_and_load_name("permutation");
+  expect_rejected("retired permutation flag", "permutation");
 
   bytes = clean;
   bytes[sizeof(snapshot::SnapshotHeader) + 4] ^= 0x01;  // section table

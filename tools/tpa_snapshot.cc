@@ -3,7 +3,6 @@
 /// Subcommands:
 ///   build  --out FILE [--scale S] [--edges M] [--seed R]
 ///          [--precision fp64|fp32] [--value-storage explicit|value-free]
-///          [--ordering original|degree|hub]
 ///          [--restart C] [--family-window S] [--stranger-start T]
 ///          [--out-of-core] [--memory-budget-mb M] [--workdir DIR]
 ///          [--from-csr FILE.csr]
@@ -157,14 +156,6 @@ int CmdBuild(ArgList& args) {
   if (!value_error.empty()) return Fail(value_error);
   const std::string precision = args.Value("--precision", "fp64");
   const std::string storage = args.Value("--value-storage", "explicit");
-  const std::string ordering = args.Value("--ordering", "original");
-  if (ordering == "degree") {
-    build.node_ordering = NodeOrdering::kDegreeDescending;
-  } else if (ordering == "hub") {
-    build.node_ordering = NodeOrdering::kHubCluster;
-  } else if (ordering != "original") {
-    return Fail("--ordering must be original, degree, or hub");
-  }
 
   TpaOptions options;
   options.restart_probability =
@@ -241,12 +232,10 @@ int CmdBuild(ArgList& args) {
   const Status saved = tpa->SaveSnapshot(out);
   if (!saved.ok()) return FailStatus(saved);
   std::printf(
-      "built scale=%u n=%u m=%llu %s/%s ordering=%s in %.3fs, saved '%s' "
-      "in %.3fs\n",
+      "built scale=%u n=%u m=%llu %s/%s in %.3fs, saved '%s' in %.3fs\n",
       rmat.scale, graph->num_nodes(),
       static_cast<unsigned long long>(graph->num_edges()), precision.c_str(),
-      storage.c_str(), ordering.c_str(), build_seconds, out.c_str(),
-      watch.ElapsedSeconds());
+      storage.c_str(), build_seconds, out.c_str(), watch.ElapsedSeconds());
   return 0;
 }
 
@@ -302,7 +291,7 @@ int CmdInfo(ArgList& args) {
   std::printf(
       "snapshot '%s'\n"
       "  nodes=%llu edges=%llu precision=%s storage=%s\n"
-      "  tiers: fp64=%d fp32=%d permutation=%d\n"
+      "  tiers: fp64=%d fp32=%d\n"
       "  tpa: c=%g eps=%g S=%d T=%d\n"
       "  sparse head: frontier_density_threshold=%g "
       "topk_frontier_density_threshold=%g\n"
@@ -313,9 +302,9 @@ int CmdInfo(ArgList& args) {
       info->value_storage == ValueStorage::kExplicit ? "explicit"
                                                      : "value-free",
       info->has_fp64 ? 1 : 0, info->has_fp32 ? 1 : 0,
-      info->has_permutation ? 1 : 0, info->options.restart_probability,
-      info->options.tolerance, info->options.family_window,
-      info->options.stranger_start, info->options.frontier_density_threshold,
+      info->options.restart_probability, info->options.tolerance,
+      info->options.family_window, info->options.stranger_start,
+      info->options.frontier_density_threshold,
       info->options.topk_frontier_density_threshold,
       static_cast<unsigned long long>(info->file_bytes), info->section_count);
   return 0;
