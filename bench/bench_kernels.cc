@@ -478,7 +478,7 @@ int RunCrossoverSweep(const SweepArgs& args) {
 
   std::vector<SweepRow> rows;
   bool all_equal = true;
-  for (size_t f = 16; f < n; f *= 4) {
+  for (size_t f = 16; f < n; f *= 2) {
     SweepRow row;
     row.frontier_rows = f;
     row.density = static_cast<double>(f) / n;

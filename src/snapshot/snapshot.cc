@@ -1,7 +1,10 @@
 #include "snapshot/snapshot.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -11,6 +14,7 @@
 #include "util/failpoint.h"
 #include "util/mem_stats.h"
 #include "util/serial.h"
+#include "util/worker_team.h"
 
 namespace tpa::snapshot {
 
@@ -54,6 +58,18 @@ struct ParsedSnapshot {
 
 Status CorruptError(const std::string& path, const std::string& what) {
   return InvalidArgumentError("snapshot '" + path + "': " + what);
+}
+
+Status ChecksumError(const std::string& path, const std::string& what) {
+  return DataLossError("snapshot '" + path + "': " + what);
+}
+
+/// A team to checksum `ranges` on: one member per hardware thread, but no
+/// more members than the ranges have 1 MiB pieces.
+std::unique_ptr<WorkerTeam> TeamFor(std::span<const ByteRange> ranges) {
+  const size_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  return std::make_unique<WorkerTeam>(static_cast<int>(
+      std::clamp<size_t>(Crc32PieceCount(ranges), 1, hardware)));
 }
 
 /// The exact sections (and byte sizes) a file with this meta must carry —
@@ -120,12 +136,77 @@ Status CheckStrangerOrder(const uint32_t* nodes, uint64_t n,
   return OkStatus();
 }
 
+/// The structural invariants of a checksummed file, on `team`: a branch-
+/// free pre-pass over both CSR directions in row and edge chunks, next to
+/// the stranger-order check.  A direction the pre-pass faults is rechecked
+/// by the serial CheckCsrDirection for its message, and faults are
+/// reported in a fixed order (out-CSR, in-CSR, stranger order), so the
+/// Status does not depend on the team size.
+Status CheckStructure(const ParsedSnapshot& parsed, WorkerTeam& team,
+                      const std::string& path) {
+  const uint64_t n = parsed.meta.num_nodes;
+  const uint64_t m = parsed.meta.num_edges;
+  const auto payload = [&parsed](SectionId id) {
+    return parsed.Payload(*parsed.Find(id));
+  };
+  const uint64_t* offsets[2] = {
+      reinterpret_cast<const uint64_t*>(payload(SectionId::kOutOffsets)),
+      reinterpret_cast<const uint64_t*>(payload(SectionId::kInOffsets))};
+  const uint32_t* indices[2] = {
+      reinterpret_cast<const uint32_t*>(payload(SectionId::kOutIndices)),
+      reinterpret_cast<const uint32_t*>(payload(SectionId::kInIndices))};
+  const auto* order =
+      reinterpret_cast<const uint32_t*>(payload(SectionId::kStrangerOrder));
+  // Per direction: the row chunks, then the edge chunks, 1 MiB each.
+  constexpr uint64_t kRowChunk = kCrc32PieceBytes / sizeof(uint64_t);
+  constexpr uint64_t kEdgeChunk = kCrc32PieceBytes / sizeof(uint32_t);
+  const uint64_t row_chunks = (n + kRowChunk - 1) / kRowChunk;
+  const uint64_t chunks = row_chunks + (m + kEdgeChunk - 1) / kEdgeChunk;
+  std::atomic<bool> faulty[2] = {false, false};
+  Status stranger;
+  std::atomic<uint64_t> next{0};
+  team.Run([&](int) {
+    // Item 0, the longest, is the stranger-order check.
+    for (uint64_t i = next++; i <= 2 * chunks; i = next++) {
+      if (i == 0) {
+        stranger = CheckStrangerOrder(order, n, path);
+        continue;
+      }
+      const uint64_t d = (i - 1) / chunks;
+      const uint64_t k = (i - 1) % chunks;
+      uint32_t bad = 0;
+      if (k < row_chunks) {
+        const uint64_t end = std::min(n, (k + 1) * kRowChunk);
+        for (uint64_t r = k * kRowChunk; r < end; ++r) {
+          bad |= static_cast<uint32_t>(offsets[d][r] > offsets[d][r + 1]);
+        }
+      } else {
+        const uint64_t begin = (k - row_chunks) * kEdgeChunk;
+        const uint64_t end = std::min(m, begin + kEdgeChunk);
+        for (uint64_t e = begin; e < end; ++e) {
+          bad |= static_cast<uint32_t>(indices[d][e] >= n);
+        }
+      }
+      if (bad != 0) faulty[d] = true;
+    }
+  });
+  for (int d = 0; d < 2; ++d) {
+    if (faulty[d] || offsets[d][0] != 0 || offsets[d][n] != m) {
+      TPA_RETURN_IF_ERROR(CheckCsrDirection(offsets[d], n, indices[d], m, path,
+                                            d == 0 ? "out-CSR" : "in-CSR"));
+    }
+  }
+  return stranger;
+}
+
 /// Opens and parses `path`: header, section table, meta, section presence
 /// and exact sizes — always; payload checksums and structural invariants
-/// when `verify_payload`.
+/// when `verify_payload`, on `team` (null: a team sized to the host and
+/// the file).
 StatusOr<ParsedSnapshot> ParseSnapshot(const std::string& path,
                                        bool verify_payload,
-                                       ResidentSteward* steward = nullptr) {
+                                       ResidentSteward* steward = nullptr,
+                                       WorkerTeam* team = nullptr) {
   ParsedSnapshot parsed;
   {
     TPA_ASSIGN_OR_RETURN(MappedFile file, MappedFile::Open(path));
@@ -168,6 +249,10 @@ StatusOr<ParsedSnapshot> ParseSnapshot(const std::string& path,
   if (header.section_table_offset != sizeof(SnapshotHeader)) {
     return CorruptError(path, "section table is not at offset 64");
   }
+  if (std::any_of(std::begin(header.reserved), std::end(header.reserved),
+                  [](uint8_t byte) { return byte != 0; })) {
+    return CorruptError(path, "header reserved bytes are not zero");
+  }
   if (header.section_count == 0 || header.section_count > 64) {
     return CorruptError(path, "implausible section count");
   }
@@ -178,11 +263,14 @@ StatusOr<ParsedSnapshot> ParseSnapshot(const std::string& path,
   }
   const uint8_t* table_start = file.data() + header.section_table_offset;
   if (Crc32(table_start, table_bytes) != header.section_table_crc) {
-    return CorruptError(path, "section table checksum mismatch");
+    return ChecksumError(path, "section table checksum mismatch");
   }
   parsed.table.resize(header.section_count);
   std::memcpy(parsed.table.data(), table_start, table_bytes);
   for (const SectionDesc& desc : parsed.table) {
+    if (desc.reserved0 != 0 || desc.reserved1 != 0) {
+      return CorruptError(path, "section table reserved field is not zero");
+    }
     if (desc.offset % kSectionAlignment != 0) {
       return CorruptError(path, "misaligned section payload");
     }
@@ -202,6 +290,9 @@ StatusOr<ParsedSnapshot> ParseSnapshot(const std::string& path,
       meta.value_storage >
           static_cast<uint32_t>(ValueStorage::kRowConstant)) {
     return CorruptError(path, "meta enum field out of range");
+  }
+  if (meta.pad0 != 0 || meta.reserved0 != 0 || meta.pad1 != 0) {
+    return CorruptError(path, "meta reserved field is not zero");
   }
   if (meta.retired_permutation != 0) {
     return CorruptError(path,
@@ -242,30 +333,23 @@ StatusOr<ParsedSnapshot> ParseSnapshot(const std::string& path,
 
   if (!verify_payload) return parsed;
 
+  std::vector<ByteRange> payloads;
   for (const SectionDesc& desc : parsed.table) {
-    if (Crc32(parsed.Payload(desc), desc.size_bytes) != desc.crc) {
-      return CorruptError(path, "payload checksum mismatch in section id " +
-                                    std::to_string(desc.id));
+    payloads.push_back({parsed.Payload(desc), desc.size_bytes});
+  }
+  std::unique_ptr<WorkerTeam> own_team;
+  if (team == nullptr) {
+    own_team = TeamFor(payloads);
+    team = own_team.get();
+  }
+  const std::vector<uint32_t> crcs = Crc32OnTeam(payloads, *team);
+  for (size_t i = 0; i < parsed.table.size(); ++i) {
+    if (crcs[i] != parsed.table[i].crc) {
+      return ChecksumError(path, "payload checksum mismatch in section id " +
+                                     std::to_string(parsed.table[i].id));
     }
   }
-  const uint64_t n = meta.num_nodes;
-  const uint64_t m = meta.num_edges;
-  const auto* out_offsets = reinterpret_cast<const uint64_t*>(
-      parsed.Payload(*parsed.Find(SectionId::kOutOffsets)));
-  const auto* out_indices = reinterpret_cast<const uint32_t*>(
-      parsed.Payload(*parsed.Find(SectionId::kOutIndices)));
-  const auto* in_offsets = reinterpret_cast<const uint64_t*>(
-      parsed.Payload(*parsed.Find(SectionId::kInOffsets)));
-  const auto* in_indices = reinterpret_cast<const uint32_t*>(
-      parsed.Payload(*parsed.Find(SectionId::kInIndices)));
-  TPA_RETURN_IF_ERROR(
-      CheckCsrDirection(out_offsets, n, out_indices, m, path, "out-CSR"));
-  TPA_RETURN_IF_ERROR(
-      CheckCsrDirection(in_offsets, n, in_indices, m, path, "in-CSR"));
-  TPA_RETURN_IF_ERROR(CheckStrangerOrder(
-      reinterpret_cast<const uint32_t*>(
-          parsed.Payload(*parsed.Find(SectionId::kStrangerOrder))),
-      n, path));
+  TPA_RETURN_IF_ERROR(CheckStructure(parsed, *team, path));
   return parsed;
 }
 
@@ -383,6 +467,11 @@ Status WriteSnapshot(const Tpa& tpa, const std::string& path) {
 
   // Lay out the file and checksum every payload before the first write, so
   // the header and table land in one forward pass.
+  std::vector<ByteRange> payloads;
+  for (const PendingSection& section : sections) {
+    payloads.push_back({section.data, section.size_bytes});
+  }
+  const std::vector<uint32_t> crcs = Crc32OnTeam(payloads, *TeamFor(payloads));
   std::vector<SectionDesc> table(sections.size());
   uint64_t offset = AlignUp(
       sizeof(SnapshotHeader) + sections.size() * sizeof(SectionDesc),
@@ -392,7 +481,7 @@ Status WriteSnapshot(const Tpa& tpa, const std::string& path) {
     table[i].id = static_cast<uint32_t>(sections[i].id);
     table[i].offset = offset;
     table[i].size_bytes = sections[i].size_bytes;
-    table[i].crc = Crc32(sections[i].data, sections[i].size_bytes);
+    table[i].crc = crcs[i];
     offset = AlignUp(offset + sections[i].size_bytes, kSectionAlignment);
   }
   const uint64_t last = table.back().offset + table.back().size_bytes;
@@ -499,8 +588,9 @@ StatusOr<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {
   return InfoFromParsed(parsed);
 }
 
-Status VerifySnapshot(const std::string& path) {
-  TPA_ASSIGN_OR_RETURN(ParsedSnapshot parsed, ParseSnapshot(path, true));
+Status VerifySnapshot(const std::string& path, WorkerTeam* team) {
+  TPA_ASSIGN_OR_RETURN(ParsedSnapshot parsed,
+                       ParseSnapshot(path, true, nullptr, team));
   (void)parsed;
   return OkStatus();
 }

@@ -12,6 +12,7 @@
 
 namespace tpa {
 class ResidentSteward;
+class WorkerTeam;
 }  // namespace tpa
 
 namespace tpa::snapshot {
@@ -34,7 +35,8 @@ enum class LoadMode {
 struct LoadOptions {
   LoadMode mode = LoadMode::kMap;
   /// Verify per-section checksums and structural invariants (offset
-  /// monotonicity, index ranges) before trusting the file.  The default;
+  /// monotonicity, index ranges) before trusting the file, on one thread
+  /// per core (see VerifySnapshot).  The default;
   /// turning it off skips the O(file) verification passes and is only safe
   /// for a file this host just wrote.  WriteSnapshot does not fsync, so a
   /// file that lived through a crash, a copy or another disk needs verify.
@@ -110,8 +112,12 @@ StatusOr<LoadedSnapshot> LoadSnapshot(const std::string& path,
 StatusOr<SnapshotInfo> ReadSnapshotInfo(const std::string& path);
 
 /// Full integrity check — header, section table, per-section checksums, and
-/// structural invariants — without building the serving state.
-Status VerifySnapshot(const std::string& path);
+/// structural invariants — without building the serving state.  The
+/// payload passes run on `team`; null means a team sized to the host, as
+/// every LoadSnapshot with `verify` uses.  The Status is the same at every
+/// team size: a checksum mismatch is kDataLoss (the first in section-table
+/// order), a structural fault kInvalidArgument.
+Status VerifySnapshot(const std::string& path, WorkerTeam* team = nullptr);
 
 }  // namespace tpa::snapshot
 

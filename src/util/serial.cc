@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "util/failpoint.h"
+#include "util/worker_team.h"
 
 namespace tpa {
 
@@ -42,6 +43,39 @@ Crc32Tables MakeCrc32Tables() {
     }
   }
   return tables;
+}
+
+/// a(x)·b(x) mod the CRC polynomial, in the reflected bit order Crc32 uses
+/// (bit 31 is x^0).  `a` must be nonzero; every power of x is.
+uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (uint32_t m = 1u << 31;; m >>= 1) {
+    if (a & m) {
+      product ^= b;
+      if ((a & (m - 1)) == 0) break;
+    }
+    b = (b >> 1) ^ ((b & 1u) ? 0xEDB88320u : 0u);
+  }
+  return product;
+}
+
+/// x^(8·bytes) mod the polynomial: the operator that shifts a CRC through
+/// `bytes` zero bytes.  Squares x^(2^k) for k = 0..31 are tabled once; the
+/// powers cycle with period 32 because x^(2^32 - 1) = 1 mod the polynomial.
+uint32_t XPow8nModP(uint64_t bytes) {
+  static const std::array<uint32_t, 32> squares = [] {
+    std::array<uint32_t, 32> table;
+    table[0] = 1u << 30;  // x^1
+    for (size_t k = 1; k < table.size(); ++k) {
+      table[k] = MultModP(table[k - 1], table[k - 1]);
+    }
+    return table;
+  }();
+  uint32_t power = 1u << 31;  // x^0
+  for (unsigned k = 3; bytes != 0; bytes >>= 1, ++k) {
+    if (bytes & 1) power = MultModP(squares[k & 31], power);
+  }
+  return power;
 }
 
 /// Little-endian 32-bit word at `p`, independent of the host byte order
@@ -138,6 +172,48 @@ uint32_t Crc32(const void* data, size_t size, uint32_t seed) {
     crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xFFu];
   }
   return ~crc;
+}
+
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b) {
+  return MultModP(XPow8nModP(len_b), crc_a) ^ crc_b;
+}
+
+size_t Crc32PieceCount(std::span<const ByteRange> ranges) {
+  size_t pieces = 0;
+  for (const ByteRange& range : ranges) {
+    pieces += (range.size + kCrc32PieceBytes - 1) / kCrc32PieceBytes;
+  }
+  return pieces;
+}
+
+std::vector<uint32_t> Crc32OnTeam(std::span<const ByteRange> ranges,
+                                  WorkerTeam& team) {
+  std::vector<ByteRange> pieces;
+  for (const ByteRange& range : ranges) {
+    const uint8_t* bytes = static_cast<const uint8_t*>(range.data);
+    for (size_t at = 0; at < range.size; at += kCrc32PieceBytes) {
+      pieces.push_back(
+          {bytes + at, std::min(kCrc32PieceBytes, range.size - at)});
+    }
+  }
+  std::vector<uint32_t> piece_crcs(pieces.size());
+  std::atomic<size_t> next{0};
+  team.Run([&](int) {
+    for (size_t i = next++; i < pieces.size(); i = next++) {
+      piece_crcs[i] = Crc32(pieces[i].data, pieces[i].size);
+    }
+  });
+  static const uint32_t piece_shift = XPow8nModP(kCrc32PieceBytes);
+  std::vector<uint32_t> crcs(ranges.size(), 0);
+  for (size_t r = 0, i = 0; r < ranges.size(); ++r) {
+    for (size_t at = 0; at < ranges[r].size; at += kCrc32PieceBytes, ++i) {
+      const uint32_t shift = pieces[i].size == kCrc32PieceBytes
+                                 ? piece_shift
+                                 : XPow8nModP(pieces[i].size);
+      crcs[r] = MultModP(shift, crcs[r]) ^ piece_crcs[i];
+    }
+  }
+  return crcs;
 }
 
 StatusOr<MappedFile> MappedFile::Open(const std::string& path) {

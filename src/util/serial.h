@@ -5,12 +5,15 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "util/status.h"
 
 namespace tpa {
+
+class WorkerTeam;
 
 /// CRC-32 (IEEE 802.3, the zlib polynomial) of `size` bytes.  Chain calls by
 /// feeding the previous return value as `seed` (0 starts a fresh checksum).
@@ -19,6 +22,33 @@ namespace tpa {
 /// library dependency.  Words are assembled from bytes in little-endian
 /// order, so the value does not depend on the host's byte order.
 uint32_t Crc32(const void* data, size_t size, uint32_t seed = 0);
+
+/// Crc32 of A followed by B, from crc_a = Crc32(A), crc_b = Crc32(B) and
+/// len_b = |B| bytes, without touching the data: crc_a is shifted through
+/// len_b zero bytes by multiplying it with x^(8·len_b) mod the polynomial
+/// in GF(2) (zlib's crc32_combine method), then xored with crc_b.
+/// O(log len_b) carry-less multiplies.
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, uint64_t len_b);
+
+/// A borrowed byte range to checksum.
+struct ByteRange {
+  const void* data;
+  size_t size;
+};
+
+/// Crc32OnTeam's unit of work.
+inline constexpr size_t kCrc32PieceBytes = size_t{1} << 20;
+
+/// How many kCrc32PieceBytes pieces Crc32OnTeam cuts `ranges` into (an
+/// empty range has none): the most members a team can keep busy on them.
+size_t Crc32PieceCount(std::span<const ByteRange> ranges);
+
+/// Crc32 of every range, on all of `team`'s members: each range is cut into
+/// kCrc32PieceBytes pieces, members take pieces from a shared counter, and
+/// each range's piece CRCs are combined in order after the join, so entry
+/// i equals Crc32(ranges[i].data, ranges[i].size) at every team size.
+std::vector<uint32_t> Crc32OnTeam(std::span<const ByteRange> ranges,
+                                  WorkerTeam& team);
 
 /// Paging-pattern hints forwarded to madvise on a mapped range.  The
 /// out-of-core pipeline applies kSequential ahead of propagation sweeps

@@ -27,6 +27,8 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "CANCELLED";
     case StatusCode::kDeadlineExceeded:
       return "DEADLINE_EXCEEDED";
+    case StatusCode::kDataLoss:
+      return "DATA_LOSS";
   }
   return "UNKNOWN";
 }
@@ -70,6 +72,9 @@ Status CancelledError(std::string message) {
 }
 Status DeadlineExceededError(std::string message) {
   return Status(StatusCode::kDeadlineExceeded, std::move(message));
+}
+Status DataLossError(std::string message) {
+  return Status(StatusCode::kDataLoss, std::move(message));
 }
 
 namespace internal_status {

@@ -22,6 +22,9 @@ enum class StatusCode {
   kUnimplemented = 7,
   kCancelled = 8,
   kDeadlineExceeded = 9,
+  /// Stored bytes differ from what was written (a checksum mismatch), as
+  /// opposed to kInvalidArgument's well-formed-but-invalid structure.
+  kDataLoss = 10,
 };
 
 /// Returns a human-readable name for `code` (e.g. "INVALID_ARGUMENT").
@@ -75,6 +78,7 @@ Status InternalError(std::string message);
 Status UnimplementedError(std::string message);
 Status CancelledError(std::string message);
 Status DeadlineExceededError(std::string message);
+Status DataLossError(std::string message);
 
 /// Union of a `Status` and a value of type `T`.
 ///

@@ -38,7 +38,7 @@ class OutOfCoreFaultTest : public ::testing::Test {
   }
   void TearDown() override {
     DisarmAllFailpoints();
-    for (const std::string& suffix : {"", ".spill-out", ".spill-in"}) {
+    for (const char* suffix : {"", ".spill-out", ".spill-in"}) {
       std::remove((csr_path_ + suffix).c_str());
     }
   }

@@ -34,7 +34,7 @@ class OutOfCoreTest : public ::testing::Test {
     prefix_ = ::testing::TempDir() + "/ooc_" + std::to_string(::getpid());
   }
   void TearDown() override {
-    for (const std::string& suffix :
+    for (const char* suffix :
          {".csr", ".a.snap", ".b.snap", ".csr.spill-out", ".csr.spill-in"}) {
       std::remove((prefix_ + suffix).c_str());
     }

@@ -216,9 +216,12 @@ TEST_F(SnapshotTest, CorruptFilesAreRejectedWithClearErrors) {
   WriteFileBytes(bytes);
   expect_rejected("format v1", "unsupported format version 1");
 
-  // Writes `clean` with its meta section edited by `edit`, and the meta
-  // and section-table checksums recomputed so only the field check sees it.
-  const auto write_with_meta = [&](const auto& edit) {
+  // Writes `clean` with its header, section descriptors and meta section
+  // edited by the three callbacks, and the meta and section-table checksums
+  // recomputed so only the field check sees it.
+  const auto write_resealed = [&](const auto& edit_header,
+                                  const auto& edit_desc,
+                                  const auto& edit_meta) {
     std::vector<uint8_t> edited = clean;
     snapshot::SnapshotHeader header;
     std::memcpy(&header, edited.data(), sizeof(header));
@@ -226,12 +229,13 @@ TEST_F(SnapshotTest, CorruptFilesAreRejectedWithClearErrors) {
     std::memcpy(table.data(), edited.data() + header.section_table_offset,
                 table.size() * sizeof(snapshot::SectionDesc));
     for (snapshot::SectionDesc& desc : table) {
+      edit_desc(desc);
       if (desc.id != static_cast<uint32_t>(snapshot::SectionId::kMeta)) {
         continue;
       }
       snapshot::MetaSection meta;
       std::memcpy(&meta, edited.data() + desc.offset, sizeof(meta));
-      edit(meta);
+      edit_meta(meta);
       std::memcpy(edited.data() + desc.offset, &meta, sizeof(meta));
       desc.crc = Crc32(&meta, sizeof(meta));
     }
@@ -239,8 +243,13 @@ TEST_F(SnapshotTest, CorruptFilesAreRejectedWithClearErrors) {
                 table.size() * sizeof(snapshot::SectionDesc));
     header.section_table_crc =
         Crc32(table.data(), table.size() * sizeof(snapshot::SectionDesc));
+    edit_header(header);
     std::memcpy(edited.data(), &header, sizeof(header));
     WriteFileBytes(edited);
+  };
+  const auto unedited = [](auto&) {};
+  const auto write_with_meta = [&](const auto& edit) {
+    write_resealed(unedited, unedited, edit);
   };
   // ReadSnapshotInfo and LoadSnapshot name the field too (expect_rejected
   // checks VerifySnapshot's message).
@@ -271,6 +280,39 @@ TEST_F(SnapshotTest, CorruptFilesAreRejectedWithClearErrors) {
   expect_info_and_load_name("permutation");
   expect_rejected("retired permutation flag", "permutation");
 
+  // Every reserved and padding field must stay zero, checksums or not.
+  const auto header_reserved = [](snapshot::SnapshotHeader& header) {
+    header.reserved[23] = 1;
+  };
+  const auto in_indices_reserved0 = [](snapshot::SectionDesc& desc) {
+    if (desc.id == static_cast<uint32_t>(snapshot::SectionId::kInIndices)) {
+      desc.reserved0 = 1;
+    }
+  };
+  const auto meta_reserved1 = [](snapshot::SectionDesc& desc) {
+    if (desc.id == static_cast<uint32_t>(snapshot::SectionId::kMeta)) {
+      desc.reserved1 = 1;
+    }
+  };
+  write_resealed(header_reserved, unedited, unedited);
+  expect_info_and_load_name("header reserved");
+  expect_rejected("header reserved byte", "header reserved");
+  write_resealed(unedited, in_indices_reserved0, unedited);
+  expect_info_and_load_name("section table reserved");
+  expect_rejected("section reserved0", "section table reserved");
+  write_resealed(unedited, meta_reserved1, unedited);
+  expect_info_and_load_name("section table reserved");
+  expect_rejected("section reserved1", "section table reserved");
+  write_with_meta([](snapshot::MetaSection& meta) { meta.pad0 = 1; });
+  expect_info_and_load_name("meta reserved");
+  expect_rejected("meta pad0", "meta reserved");
+  write_with_meta([](snapshot::MetaSection& meta) { meta.reserved0 = 1; });
+  expect_info_and_load_name("meta reserved");
+  expect_rejected("meta reserved0", "meta reserved");
+  write_with_meta([](snapshot::MetaSection& meta) { meta.pad1 = 1; });
+  expect_info_and_load_name("meta reserved");
+  expect_rejected("meta pad1", "meta reserved");
+
   bytes = clean;
   bytes[sizeof(snapshot::SnapshotHeader) + 4] ^= 0x01;  // section table
   WriteFileBytes(bytes);
@@ -291,6 +333,42 @@ TEST_F(SnapshotTest, CorruptFilesAreRejectedWithClearErrors) {
   EXPECT_FALSE(snapshot::VerifySnapshot(path_).ok());
   EXPECT_FALSE(snapshot::LoadSnapshot(path_).ok());
   EXPECT_FALSE(snapshot::ReadSnapshotInfo(path_).ok());
+}
+
+/// A checksum mismatch — in the section table or in a payload — is
+/// DATA_LOSS; a well-formed file whose structure is invalid stays
+/// INVALID_ARGUMENT.
+TEST_F(SnapshotTest, ChecksumMismatchesAreDataLoss) {
+  const Graph graph =
+      MakeGraph(la::Precision::kFloat64, ValueStorage::kRowConstant);
+  ASSERT_TRUE(MakeTpa(graph).SaveSnapshot(path_).ok());
+  const std::vector<uint8_t> clean = ReadFileBytes();
+
+  std::vector<uint8_t> bytes = clean;
+  bytes[sizeof(snapshot::SnapshotHeader) + 4] ^= 0x01;  // section table
+  WriteFileBytes(bytes);
+  Status status = snapshot::VerifySnapshot(path_);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+  EXPECT_NE(status.ToString().find("DATA_LOSS: "), std::string::npos);
+  EXPECT_EQ(snapshot::LoadSnapshot(path_).status().code(),
+            StatusCode::kDataLoss);
+  EXPECT_EQ(snapshot::ReadSnapshotInfo(path_).status().code(),
+            StatusCode::kDataLoss);
+
+  bytes = clean;
+  bytes[bytes.size() - 1] ^= 0x01;  // last payload byte
+  WriteFileBytes(bytes);
+  status = snapshot::VerifySnapshot(path_);
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss) << status;
+  EXPECT_NE(status.message().find("payload checksum"), std::string::npos);
+  EXPECT_EQ(snapshot::LoadSnapshot(path_).status().code(),
+            StatusCode::kDataLoss);
+
+  bytes = clean;
+  bytes[12] = 99;  // format_version: structure, not data loss
+  WriteFileBytes(bytes);
+  EXPECT_EQ(snapshot::VerifySnapshot(path_).code(),
+            StatusCode::kInvalidArgument);
 }
 
 /// The mmap views must keep the mapping alive through arbitrary moves: the

@@ -41,6 +41,13 @@ TEST(StatusTest, AllConstructorsMapToCodes) {
   EXPECT_EQ(DeadlineExceededError("m").code(), StatusCode::kDeadlineExceeded);
 }
 
+TEST(StatusTest, DataLossHasItsOwnCode) {
+  const Status status = DataLossError("checksum mismatch");
+  EXPECT_EQ(status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(StatusCodeToString(StatusCode::kDataLoss), "DATA_LOSS");
+  EXPECT_EQ(status.ToString(), "DATA_LOSS: checksum mismatch");
+}
+
 TEST(StatusOrTest, HoldsValue) {
   StatusOr<int> result = 42;
   ASSERT_TRUE(result.ok());
