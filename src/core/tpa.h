@@ -83,10 +83,11 @@ class Tpa {
                                   const TpaOptions& options);
 
   /// Reassembles a preprocessed instance from previously computed state —
-  /// the snapshot load path.  Validates the options and that exactly the
-  /// graph's tier is populated with n-length arrays; every query against
-  /// the result is bitwise-identical to one against the Preprocess run that
-  /// produced the arrays.  Like Preprocess, borrows the graph.
+  /// the snapshot load path.  Validates the options, that exactly the
+  /// graph's tier is populated with n-length arrays, and that the stranger
+  /// order is a permutation (a load's only order check); every query
+  /// against the result is bitwise-identical to one against the Preprocess
+  /// run that produced the arrays.  Like Preprocess, borrows the graph.
   static StatusOr<Tpa> FromPreprocessedState(
       const Graph& graph, const TpaOptions& options,
       std::vector<double> stranger, std::vector<float> stranger_f,

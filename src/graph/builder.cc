@@ -1,58 +1,56 @@
 #include "graph/builder.h"
 
 #include <algorithm>
+#include <memory>
+#include <numeric>
+#include <ranges>
+#include <span>
+#include <thread>
 #include <utility>
 
 #include "util/check.h"
+#include "util/worker_team.h"
 
 namespace tpa {
 
 namespace {
 
-using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
+/// Edges per member of the team Build makes for itself.
+constexpr size_t kEdgesPerMember = size_t{1} << 16;
 
-/// Converts a cleaned (sorted, deduplicated, dangling-resolved) edge list
-/// into the CSR Graph.  `edges` must be sorted by (u, v).
-StatusOr<Graph> FinalizeCsr(NodeId num_nodes, const EdgeList& edges,
-                            la::Precision precision,
-                            ValueStorage value_storage) {
-  const size_t m = edges.size();
-  TPA_RETURN_IF_ERROR(ValidateEdgeCount(num_nodes, m));
-  std::vector<uint64_t> out_offsets(static_cast<size_t>(num_nodes) + 1, 0);
-  std::vector<NodeId> out_targets(m);
-  for (const auto& [u, v] : edges) ++out_offsets[u + 1];
-  for (size_t i = 1; i < out_offsets.size(); ++i) {
-    out_offsets[i] += out_offsets[i - 1];
-  }
-  {
-    std::vector<uint64_t> cursor(out_offsets.begin(), out_offsets.end() - 1);
-    for (const auto& [u, v] : edges) out_targets[cursor[u]++] = v;
-  }
-  for (NodeId u = 0; u < num_nodes; ++u) {
-    TPA_RETURN_IF_ERROR(
-        ValidateRowDegree(u, out_offsets[u + 1] - out_offsets[u]));
-  }
+/// Item i of part t when `count` items are cut into `parts` even parts.
+size_t Cut(size_t count, size_t parts, size_t t) { return count * t / parts; }
 
-  // Transpose (counting sort by target); sources end up sorted within each
-  // in-list because `edges` is sorted by (u, v).
-  std::vector<uint64_t> in_offsets(static_cast<size_t>(num_nodes) + 1, 0);
-  std::vector<NodeId> in_sources(m);
-  for (const auto& [u, v] : edges) ++in_offsets[v + 1];
-  for (size_t i = 1; i < in_offsets.size(); ++i) {
-    in_offsets[i] += in_offsets[i - 1];
+/// Turns the counts hist[k·n + r] of member k and row r into start
+/// positions in (row, member) order, so a scatter that walks each member's
+/// items in order is stable.  Writes row r's first position to
+/// row_start[r] when given; returns the total count.
+uint64_t CountsToPositions(uint64_t* hist, size_t n, size_t members,
+                           uint64_t* row_start) {
+  uint64_t pos = 0;
+  for (size_t r = 0; r < n; ++r) {
+    if (row_start != nullptr) row_start[r] = pos;
+    for (size_t k = 0; k < members; ++k) {
+      pos += std::exchange(hist[k * n + r], pos);
+    }
   }
-  {
-    std::vector<uint64_t> cursor(in_offsets.begin(), in_offsets.end() - 1);
-    for (const auto& [u, v] : edges) in_sources[cursor[v]++] = u;
-  }
-  for (NodeId v = 0; v < num_nodes; ++v) {
-    TPA_RETURN_IF_ERROR(
-        ValidateRowDegree(v, in_offsets[v + 1] - in_offsets[v]));
-  }
+  return pos;
+}
 
-  return Graph(num_nodes, std::move(out_offsets), std::move(out_targets),
-               std::move(in_offsets), std::move(in_sources), precision,
-               value_storage);
+/// Cuts rows [0, n) into one range per member, each holding about the same
+/// number of rows plus entries; row r's entries end at row_end[r].
+std::vector<size_t> BalancedRows(const uint64_t* row_end, size_t n,
+                                 size_t members) {
+  std::vector<size_t> bounds(members + 1, n);
+  bounds[0] = 0;
+  const uint64_t total = n + row_end[n - 1];
+  for (size_t t = 1; t < members; ++t) {
+    const uint64_t target = Cut(total, members, t);
+    bounds[t] = *std::ranges::partition_point(
+        std::views::iota(size_t{0}, n),
+        [&](size_t r) { return r + 1 + row_end[r] <= target; });
+  }
+  return bounds;
 }
 
 }  // namespace
@@ -111,40 +109,115 @@ void GraphBuilder::AddEdges(
   for (const auto& [u, v] : edges) AddEdge(u, v);
 }
 
-StatusOr<Graph> GraphBuilder::Build(const BuildOptions& options) {
+StatusOr<Graph> GraphBuilder::Build(const BuildOptions& options,
+                                    WorkerTeam* team) {
   if (num_nodes_ == 0) {
     return InvalidArgumentError("graph must have at least one node");
   }
   EdgeList edges = std::move(edges_);
   edges_.clear();
-
-  if (options.remove_self_loops) {
-    std::erase_if(edges, [](const auto& e) { return e.first == e.second; });
+  std::unique_ptr<WorkerTeam> own_team;
+  if (team == nullptr) {
+    const size_t hardware = std::max(1u, std::thread::hardware_concurrency());
+    const size_t slices =
+        (edges.size() + kEdgesPerMember - 1) / kEdgesPerMember;
+    own_team = std::make_unique<WorkerTeam>(
+        static_cast<int>(std::clamp<size_t>(slices, 1, hardware)));
+    team = own_team.get();
   }
-  std::sort(edges.begin(), edges.end());
-  if (options.deduplicate) {
-    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  }
+  const size_t n = num_nodes_;
+  const size_t members = team->size();
+  const bool drop_loops = options.remove_self_loops;
 
-  if (options.dangling_policy == DanglingPolicy::kAddSelfLoop) {
-    // Find nodes with no out-edge and append self-loops, keeping sort order
-    // by a final merge.
-    std::vector<bool> has_out(num_nodes_, false);
-    for (const auto& [u, v] : edges) has_out[u] = true;
-    EdgeList loops;
-    for (NodeId u = 0; u < num_nodes_; ++u) {
-      if (!has_out[u]) loops.emplace_back(u, u);
+  // Scatter the targets into row buckets: each member counts the sources
+  // of one edge slice, and the positions keep every bucket in input order.
+  la::PageVector<uint64_t> hist(members * n);
+  const auto slice = [&](int t) {
+    return std::span(edges.data() + Cut(edges.size(), members, t),
+                     edges.data() + Cut(edges.size(), members, t + 1));
+  };
+  team->Run([&](int t) {
+    uint64_t* counts = hist.data() + t * n;
+    for (const auto& [u, v] : slice(t)) counts[u] += !(drop_loops && u == v);
+  });
+  const uint64_t kept = CountsToPositions(hist.data(), n, members, nullptr);
+  la::PageVector<NodeId> buckets(kept);
+  team->Run([&](int t) {
+    uint64_t* next = hist.data() + t * n;
+    for (const auto& [u, v] : slice(t)) {
+      if (!(drop_loops && u == v)) buckets[next[u]++] = v;
     }
-    if (!loops.empty()) {
-      const size_t mid = edges.size();
-      edges.insert(edges.end(), loops.begin(), loops.end());
-      std::inplace_merge(edges.begin(),
-                         edges.begin() + static_cast<long>(mid), edges.end());
+  });
+  EdgeList().swap(edges);
+
+  // Each member cleans a range of whole rows: sort, dedup, and a self-loop
+  // for a row left empty.  The last member's positions now end each row.
+  const uint64_t* row_end = hist.data() + (members - 1) * n;
+  const auto row_begin = [&](size_t r) { return r == 0 ? 0 : row_end[r - 1]; };
+  const std::vector<size_t> rows = BalancedRows(row_end, n, members);
+  const bool add_loops =
+      options.dangling_policy == DanglingPolicy::kAddSelfLoop;
+  la::PageVector<uint64_t> out_offsets(n + 1);
+  team->Run([&](int t) {
+    for (size_t r = rows[t]; r < rows[t + 1]; ++r) {
+      NodeId* first = buckets.data() + row_begin(r);
+      NodeId* last = buckets.data() + row_end[r];
+      std::sort(first, last);
+      if (options.deduplicate) last = std::unique(first, last);
+      out_offsets[r + 1] = first == last && add_loops ? 1 : last - first;
     }
+  });
+  std::partial_sum(out_offsets.begin(), out_offsets.end(), out_offsets.begin());
+  const uint64_t m = out_offsets[n];
+  TPA_RETURN_IF_ERROR(ValidateEdgeCount(n, m));
+  la::PageVector<NodeId> out_targets(m);
+  team->Run([&](int t) {
+    for (size_t r = rows[t]; r < rows[t + 1]; ++r) {
+      const uint64_t degree = out_offsets[r + 1] - out_offsets[r];
+      if (row_begin(r) == row_end[r]) {
+        if (degree == 1) out_targets[out_offsets[r]] = static_cast<NodeId>(r);
+      } else {
+        std::copy_n(buckets.data() + row_begin(r), degree,
+                    out_targets.data() + out_offsets[r]);
+      }
+    }
+  });
+  la::PageVector<NodeId>().swap(buckets);
+  for (size_t u = 0; u < n; ++u) {
+    TPA_RETURN_IF_ERROR(
+        ValidateRowDegree(u, out_offsets[u + 1] - out_offsets[u]));
   }
 
-  return FinalizeCsr(num_nodes_, edges, options.value_precision,
-                     options.value_storage);
+  // Counting transpose over the same row ranges: members hold ascending
+  // source ranges, so (target, member) order lists each in-row by source.
+  team->Run([&](int t) {
+    uint64_t* counts = hist.data() + t * n;
+    std::fill_n(counts, n, 0);
+    for (uint64_t e = out_offsets[rows[t]]; e < out_offsets[rows[t + 1]];
+         ++e) {
+      ++counts[out_targets[e]];
+    }
+  });
+  la::PageVector<uint64_t> in_offsets(n + 1);
+  in_offsets[n] = CountsToPositions(hist.data(), n, members, in_offsets.data());
+  la::PageVector<NodeId> in_sources(m);
+  team->Run([&](int t) {
+    uint64_t* next = hist.data() + t * n;
+    for (size_t u = rows[t]; u < rows[t + 1]; ++u) {
+      for (uint64_t e = out_offsets[u]; e < out_offsets[u + 1]; ++e) {
+        in_sources[next[out_targets[e]]++] = static_cast<NodeId>(u);
+      }
+    }
+  });
+  la::PageVector<uint64_t>().swap(hist);
+  for (size_t v = 0; v < n; ++v) {
+    TPA_RETURN_IF_ERROR(
+        ValidateRowDegree(v, in_offsets[v + 1] - in_offsets[v]));
+  }
+
+  return Graph(num_nodes_, std::move(out_offsets), std::move(out_targets),
+               std::move(in_offsets), std::move(in_sources),
+               options.value_precision, options.value_storage);
 }
 
 }  // namespace tpa

@@ -4,9 +4,12 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "la/shared_array.h"
 #include "util/status.h"
 
 namespace tpa {
+
+class WorkerTeam;
 
 /// Policy for out-degree-zero nodes at build time.
 enum class DanglingPolicy {
@@ -53,8 +56,12 @@ Status ValidateEdgeCount(uint64_t num_nodes, uint64_t num_edges);
 
 /// Accumulates an edge list and finalizes it into an immutable CSR Graph.
 ///
-/// Build is O(m log m) (sort-based) and produces neighbor lists sorted by id,
-/// which downstream code relies on for binary-searchable adjacency.
+/// Build is a counting build on a WorkerTeam: the edges are scattered into
+/// per-source buckets, each row is sorted and deduplicated on its own
+/// (O(m + n) plus O(d log d) per row of d edges), and a counting transpose
+/// makes the in-lists.  Neighbor lists come out sorted by id, which
+/// downstream code relies on for binary-searchable adjacency, and the
+/// arrays are the same at every team size.
 class GraphBuilder {
  public:
   explicit GraphBuilder(NodeId num_nodes) : num_nodes_(num_nodes) {}
@@ -69,12 +76,17 @@ class GraphBuilder {
   NodeId num_nodes() const { return num_nodes_; }
 
   /// Finalizes into a Graph; the builder is left empty.
-  /// Fails if num_nodes is 0.
-  StatusOr<Graph> Build(const BuildOptions& options = {});
+  /// Fails if num_nodes is 0.  Runs on `team` (null: a team of one member
+  /// per hardware thread, but at most one per 64 Ki edges).
+  StatusOr<Graph> Build(const BuildOptions& options = {},
+                        WorkerTeam* team = nullptr);
 
  private:
+  // On pages of its own, so the edges Build frees leave no heap behind.
+  using EdgeList = la::PageVector<std::pair<NodeId, NodeId>>;
+
   NodeId num_nodes_;
-  std::vector<std::pair<NodeId, NodeId>> edges_;
+  EdgeList edges_;
 };
 
 }  // namespace tpa

@@ -16,9 +16,9 @@ namespace {
 /// synthesize per row, which is what pins kExplicit and kRowConstant
 /// bitwise-identical.
 template <typename V>
-std::vector<V> OutWeights(std::span<const uint64_t> out_offsets,
-                          size_t num_edges) {
-  std::vector<V> weights(num_edges);
+la::PageVector<V> OutWeights(std::span<const uint64_t> out_offsets,
+                             size_t num_edges) {
+  la::PageVector<V> weights(num_edges);
   const size_t num_nodes = out_offsets.size() - 1;
   for (size_t u = 0; u < num_nodes; ++u) {
     const uint64_t begin = out_offsets[u];
@@ -52,9 +52,10 @@ std::vector<V> OutDegreeReciprocals(std::span<const uint64_t> out_offsets) {
 
 }  // namespace
 
-Graph::Graph(NodeId num_nodes, std::vector<uint64_t> out_offsets,
-             std::vector<NodeId> out_targets, std::vector<uint64_t> in_offsets,
-             std::vector<NodeId> in_sources, la::Precision value_precision,
+Graph::Graph(NodeId num_nodes, la::PageVector<uint64_t> out_offsets,
+             la::PageVector<NodeId> out_targets,
+             la::PageVector<uint64_t> in_offsets,
+             la::PageVector<NodeId> in_sources, la::Precision value_precision,
              ValueStorage value_storage)
     : num_nodes_(num_nodes),
       precision_(value_precision),

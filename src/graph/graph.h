@@ -73,11 +73,12 @@ enum class ValueStorage : uint8_t {
 /// build with GraphBuilder's self-loop policy.
 class Graph {
  public:
-  /// Builds from a sorted, deduplicated edge set.  Use GraphBuilder instead
-  /// of calling this directly.
-  Graph(NodeId num_nodes, std::vector<uint64_t> out_offsets,
-        std::vector<NodeId> out_targets, std::vector<uint64_t> in_offsets,
-        std::vector<NodeId> in_sources,
+  /// Builds from a sorted, deduplicated edge set, adopting its arrays.  Use
+  /// GraphBuilder instead of calling this directly.
+  Graph(NodeId num_nodes, la::PageVector<uint64_t> out_offsets,
+        la::PageVector<NodeId> out_targets,
+        la::PageVector<uint64_t> in_offsets,
+        la::PageVector<NodeId> in_sources,
         la::Precision value_precision = la::Precision::kFloat64,
         ValueStorage value_storage = ValueStorage::kExplicit);
 

@@ -367,7 +367,7 @@ StatusOr<OutOfCoreGraph> OutOfCoreGraphBuilder::Build() {
   // Out pass: sequential write of offsets and indices off the (u, v)-sorted
   // stream, collapsing duplicates and appending a self-loop to every row
   // that would otherwise stay empty — the streaming equivalent of the
-  // in-RAM builder's erase/unique/inplace_merge cleaning.
+  // in-RAM builder's per-row sort/unique/self-loop cleaning.
   {
     TPA_ASSIGN_OR_RETURN(ExternalU64Sorter::MergeStream stream,
                          fwd_->Merge());

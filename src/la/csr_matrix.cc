@@ -47,19 +47,23 @@ Status CheckCsrArrays(uint64_t rows, uint64_t cols,
 }
 
 CsrStructure MakeCsrStructure(uint32_t rows, uint32_t cols,
-                              std::vector<uint64_t> row_offsets,
-                              std::vector<uint32_t> col_indices) {
-  const Status valid = CheckCsrArrays(rows, cols, row_offsets, col_indices);
+                              SharedArray<uint64_t> row_offsets,
+                              SharedArray<uint32_t> col_indices) {
+  const Status valid = CheckCsrArrays(rows, cols, row_offsets.span(),
+                                      col_indices.span());
   if (!valid.ok()) {
     internal_check::CheckFail(__FILE__, __LINE__, "CheckCsrArrays",
                               valid.ToString());
   }
-  CsrStructure structure;
-  structure.rows = rows;
-  structure.cols = cols;
-  structure.row_offsets = SharedArray<uint64_t>(std::move(row_offsets));
-  structure.col_indices = SharedArray<uint32_t>(std::move(col_indices));
-  return structure;
+  return {rows, cols, std::move(row_offsets), std::move(col_indices)};
+}
+
+CsrStructure MakeCsrStructure(uint32_t rows, uint32_t cols,
+                              std::vector<uint64_t> row_offsets,
+                              std::vector<uint32_t> col_indices) {
+  return MakeCsrStructure(rows, cols,
+                          SharedArray<uint64_t>(std::move(row_offsets)),
+                          SharedArray<uint32_t>(std::move(col_indices)));
 }
 
 size_t CsrStructureBytes(const CsrStructure& structure) {

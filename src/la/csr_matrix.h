@@ -75,6 +75,9 @@ Status CheckCsrArrays(uint64_t rows, uint64_t cols,
 /// structure.  CHECK-fails on a violation (programming error: callers
 /// construct from already-validated arrays).
 CsrStructure MakeCsrStructure(uint32_t rows, uint32_t cols,
+                              SharedArray<uint64_t> row_offsets,
+                              SharedArray<uint32_t> col_indices);
+CsrStructure MakeCsrStructure(uint32_t rows, uint32_t cols,
                               std::vector<uint64_t> row_offsets,
                               std::vector<uint32_t> col_indices);
 

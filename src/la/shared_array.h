@@ -1,8 +1,11 @@
 #ifndef TPA_LA_SHARED_ARRAY_H_
 #define TPA_LA_SHARED_ARRAY_H_
 
+#include <sys/mman.h>
+
 #include <cstddef>
 #include <memory>
+#include <new>
 #include <span>
 #include <utility>
 #include <vector>
@@ -27,10 +30,13 @@ class SharedArray {
  public:
   SharedArray() = default;
 
-  /// Adopts a vector (implicit: every legacy call site passing a
-  /// std::vector keeps compiling and gains shared ownership for free).
-  SharedArray(std::vector<T> vec) {
-    auto holder = std::make_shared<const std::vector<T>>(std::move(vec));
+  /// Adopts a vector of any allocator (implicit: every legacy call site
+  /// passing a std::vector keeps compiling and gains shared ownership for
+  /// free).
+  template <typename Alloc>
+  SharedArray(std::vector<T, Alloc> vec) {
+    auto holder =
+        std::make_shared<const std::vector<T, Alloc>>(std::move(vec));
     data_ = holder->data();
     size_ = holder->size();
     owner_ = std::move(holder);
@@ -70,6 +76,43 @@ class SharedArray {
   const T* data_ = nullptr;
   size_t size_ = 0;
 };
+
+/// An allocator that gives every allocation anonymous pages of its own
+/// (mmap) and hands them back to the system on deallocate.  For the O(m)
+/// arrays of a graph build: freeing a block that glibc mapped raises its
+/// mmap threshold and the trim threshold to twice that size, so later
+/// blocks of the size come from the heap, and a heap top freed in smaller
+/// pieces stays resident for the life of the process.
+template <typename T>
+struct PageAllocator {
+  using value_type = T;
+
+  PageAllocator() = default;
+  template <typename U>
+  PageAllocator(const PageAllocator<U>&) {}
+
+  T* allocate(size_t n) {
+    void* addr = ::mmap(nullptr, n * sizeof(T), PROT_READ | PROT_WRITE,
+                        MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (addr == MAP_FAILED) throw std::bad_alloc();
+    return static_cast<T*>(addr);
+  }
+  void deallocate(T* p, size_t n) { ::munmap(p, n * sizeof(T)); }
+  /// Default-initializes, so a new vector of n elements writes no page:
+  /// fresh pages read zero.  Elements reused after a shrink keep their
+  /// old values.
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  friend bool operator==(const PageAllocator&, const PageAllocator&) {
+    return true;
+  }
+};
+
+/// A vector on PageAllocator pages; a SharedArray adopts it like any other.
+template <typename T>
+using PageVector = std::vector<T, PageAllocator<T>>;
 
 }  // namespace tpa::la
 

@@ -136,12 +136,13 @@ Status CheckStrangerOrder(const uint32_t* nodes, uint64_t n,
   return OkStatus();
 }
 
-/// The structural invariants of a checksummed file, on `team`: a branch-
-/// free pre-pass over both CSR directions in row and edge chunks, next to
-/// the stranger-order check.  A direction the pre-pass faults is rechecked
-/// by the serial CheckCsrDirection for its message, and faults are
-/// reported in a fixed order (out-CSR, in-CSR, stranger order), so the
-/// Status does not depend on the team size.
+/// The CSR invariants of a checksummed file, on `team`: a branch-free
+/// pre-pass over both directions in row and edge chunks.  A direction the
+/// pre-pass faults is rechecked by the serial CheckCsrDirection for its
+/// message, and faults are reported in a fixed order (out-CSR, then
+/// in-CSR), so the Status does not depend on the team size.  The stranger
+/// order is checked once per path after this: by VerifySnapshot, or by
+/// Tpa::FromPreprocessedState on a load.
 Status CheckStructure(const ParsedSnapshot& parsed, WorkerTeam& team,
                       const std::string& path) {
   const uint64_t n = parsed.meta.num_nodes;
@@ -155,25 +156,17 @@ Status CheckStructure(const ParsedSnapshot& parsed, WorkerTeam& team,
   const uint32_t* indices[2] = {
       reinterpret_cast<const uint32_t*>(payload(SectionId::kOutIndices)),
       reinterpret_cast<const uint32_t*>(payload(SectionId::kInIndices))};
-  const auto* order =
-      reinterpret_cast<const uint32_t*>(payload(SectionId::kStrangerOrder));
   // Per direction: the row chunks, then the edge chunks, 1 MiB each.
   constexpr uint64_t kRowChunk = kCrc32PieceBytes / sizeof(uint64_t);
   constexpr uint64_t kEdgeChunk = kCrc32PieceBytes / sizeof(uint32_t);
   const uint64_t row_chunks = (n + kRowChunk - 1) / kRowChunk;
   const uint64_t chunks = row_chunks + (m + kEdgeChunk - 1) / kEdgeChunk;
   std::atomic<bool> faulty[2] = {false, false};
-  Status stranger;
   std::atomic<uint64_t> next{0};
   team.Run([&](int) {
-    // Item 0, the longest, is the stranger-order check.
-    for (uint64_t i = next++; i <= 2 * chunks; i = next++) {
-      if (i == 0) {
-        stranger = CheckStrangerOrder(order, n, path);
-        continue;
-      }
-      const uint64_t d = (i - 1) / chunks;
-      const uint64_t k = (i - 1) % chunks;
+    for (uint64_t i = next++; i < 2 * chunks; i = next++) {
+      const uint64_t d = i / chunks;
+      const uint64_t k = i % chunks;
       uint32_t bad = 0;
       if (k < row_chunks) {
         const uint64_t end = std::min(n, (k + 1) * kRowChunk);
@@ -196,13 +189,13 @@ Status CheckStructure(const ParsedSnapshot& parsed, WorkerTeam& team,
                                             d == 0 ? "out-CSR" : "in-CSR"));
     }
   }
-  return stranger;
+  return OkStatus();
 }
 
-/// Opens and parses `path`: header, section table, meta, section presence
-/// and exact sizes — always; payload checksums and structural invariants
-/// when `verify_payload`, on `team` (null: a team sized to the host and
-/// the file).
+/// Opens and parses `path`: header, section table, the meta checksum and
+/// fields, section presence and exact sizes — always; payload checksums
+/// and the CSR invariants when `verify_payload`, on `team` (null: a team
+/// sized to the host and the file).
 StatusOr<ParsedSnapshot> ParseSnapshot(const std::string& path,
                                        bool verify_payload,
                                        ResidentSteward* steward = nullptr,
@@ -283,6 +276,13 @@ StatusOr<ParsedSnapshot> ParseSnapshot(const std::string& path,
   const SectionDesc* meta_desc = parsed.Find(SectionId::kMeta);
   if (meta_desc == nullptr || meta_desc->size_bytes != sizeof(MetaSection)) {
     return CorruptError(path, "missing or malformed meta section");
+  }
+  // Every field below sizes or types the file, so its checksum comes first:
+  // a flipped meta byte is data loss, not the structural fault it causes.
+  if (Crc32(parsed.Payload(*meta_desc), sizeof(MetaSection)) !=
+      meta_desc->crc) {
+    return ChecksumError(path, "payload checksum mismatch in section id " +
+                                   std::to_string(meta_desc->id));
   }
   std::memcpy(&parsed.meta, parsed.Payload(*meta_desc), sizeof(MetaSection));
   const MetaSection& meta = parsed.meta;
@@ -591,8 +591,10 @@ StatusOr<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {
 Status VerifySnapshot(const std::string& path, WorkerTeam* team) {
   TPA_ASSIGN_OR_RETURN(ParsedSnapshot parsed,
                        ParseSnapshot(path, true, nullptr, team));
-  (void)parsed;
-  return OkStatus();
+  return CheckStrangerOrder(
+      reinterpret_cast<const uint32_t*>(
+          parsed.Payload(*parsed.Find(SectionId::kStrangerOrder))),
+      parsed.meta.num_nodes, path);
 }
 
 }  // namespace tpa::snapshot

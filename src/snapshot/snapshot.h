@@ -40,9 +40,9 @@ struct LoadOptions {
   /// turning it off skips the O(file) verification passes and is only safe
   /// for a file this host just wrote.  WriteSnapshot does not fsync, so a
   /// file that lived through a crash, a copy or another disk needs verify.
-  /// Header and section-table sanity (magic, version, endianness, bounds,
-  /// sizes) are always checked either way — a corrupt file yields a
-  /// Status, never a crash.
+  /// Header, section-table and meta sanity (magic, version, endianness,
+  /// bounds, sizes, the meta checksum) and the stranger order are always
+  /// checked either way — a corrupt file yields a Status, never a crash.
   bool verify = true;
   /// Paging-pattern hint applied to the whole mapping after a kMap load
   /// (ignored under kCopy).  kSequential suits the propagation sweeps of a

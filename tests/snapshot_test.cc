@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -369,6 +371,46 @@ TEST_F(SnapshotTest, ChecksumMismatchesAreDataLoss) {
   WriteFileBytes(bytes);
   EXPECT_EQ(snapshot::VerifySnapshot(path_).code(),
             StatusCode::kInvalidArgument);
+}
+
+/// The meta section is checksummed before its fields are read, verified or
+/// not: a flipped node or edge count is DATA_LOSS, not the missing or
+/// mis-sized section it would imply.
+TEST_F(SnapshotTest, FlippedMetaCountsAreDataLoss) {
+  const Graph graph =
+      MakeGraph(la::Precision::kFloat64, ValueStorage::kExplicit);
+  ASSERT_TRUE(MakeTpa(graph).SaveSnapshot(path_).ok());
+  const std::vector<uint8_t> clean = ReadFileBytes();
+  snapshot::SnapshotHeader header;
+  std::memcpy(&header, clean.data(), sizeof(header));
+  std::vector<snapshot::SectionDesc> table(header.section_count);
+  std::memcpy(table.data(), clean.data() + header.section_table_offset,
+              table.size() * sizeof(snapshot::SectionDesc));
+  const auto meta = std::find_if(table.begin(), table.end(), [](auto& desc) {
+    return desc.id == static_cast<uint32_t>(snapshot::SectionId::kMeta);
+  });
+  ASSERT_NE(meta, table.end());
+  for (const size_t field : {offsetof(snapshot::MetaSection, num_nodes),
+                             offsetof(snapshot::MetaSection, num_edges)}) {
+    SCOPED_TRACE("meta byte " + std::to_string(field));
+    std::vector<uint8_t> bytes = clean;
+    bytes[meta->offset + field] ^= 0x01;
+    WriteFileBytes(bytes);
+    const Status verify = snapshot::VerifySnapshot(path_);
+    EXPECT_EQ(verify.code(), StatusCode::kDataLoss) << verify;
+    EXPECT_NE(verify.message().find("checksum mismatch in section id " +
+                                    std::to_string(meta->id)),
+              std::string::npos)
+        << verify;
+    EXPECT_EQ(snapshot::ReadSnapshotInfo(path_).status().code(),
+              StatusCode::kDataLoss);
+    for (const bool verify_payload : {true, false}) {
+      snapshot::LoadOptions options;
+      options.verify = verify_payload;
+      EXPECT_EQ(snapshot::LoadSnapshot(path_, options).status().code(),
+                StatusCode::kDataLoss);
+    }
+  }
 }
 
 /// The mmap views must keep the mapping alive through arbitrary moves: the
